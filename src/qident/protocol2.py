@@ -32,9 +32,10 @@ plumbing, kinds 5-7) can only spoil the refuelling, never forge an
 identification.
 
 The refuelled key length is the distilled-key budget evaluated at the
-estimated error rate; refuelling is refused when that is non-positive
-or exceeds the actually available sifted bits minus error-correction
-leakage.
+estimated error rate, less any error-correction leakage beyond what the
+budget's corrected length allows for; refuelling is refused when that
+is non-positive or exceeds the actually available sifted bits minus
+error-correction leakage.
 
 Wire format: 1 byte kind, 4-byte big-endian payload bit count, payload
 zero-padded to whole bytes, then an 8-byte big-endian tag on kinds 1-3.
@@ -44,12 +45,20 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import fft as sfft
 
 from . import auth
-from .budget import BudgetParams, distilled_len, min_initial_secret_bits
+from .budget import (
+    BudgetParams,
+    corrected_len,
+    distilled_len,
+    expected_sifted_len,
+    min_initial_secret_bits,
+)
 from .channel import ChannelParams, EveParams, EveStrategy, QkdRun, run_qkd
 from .core import (
     BitString,
@@ -258,12 +267,7 @@ def _parse_verdict(payload: BitString) -> tuple[bool, int]:
 
 
 def _build_announce(positions: np.ndarray, bases: np.ndarray, w: int) -> BitString:
-    n = positions.size
-    rows = np.zeros((n, w + 1), dtype=np.uint8)
-    shifts = np.arange(w - 1, -1, -1, dtype=np.int64)
-    rows[:, :w] = (positions[:, None].astype(np.int64) >> shifts) & 1
-    rows[:, w] = bases
-    return BitString(rows.reshape(-1))
+    return pack_uints(positions.astype(np.int64) * 2 + bases, w + 1)
 
 
 def _parse_announce(
@@ -271,36 +275,198 @@ def _parse_announce(
 ) -> tuple[np.ndarray, np.ndarray]:
     if len(payload) % (w + 1):
         raise WireFormatError("announcement length not a whole number of entries")
-    rows = payload.bits.reshape(-1, w + 1)
-    weights = (1 << np.arange(w - 1, -1, -1, dtype=np.int64))
-    pos = rows[:, :w].astype(np.int64) @ weights
+    entries = unpack_uints(payload, w + 1)
+    pos = entries >> 1
     if pos.size and (pos.max() >= n_pulses or np.any(np.diff(pos) <= 0)):
         raise WireFormatError("announced positions not strictly increasing in range")
-    return pos, rows[:, w].copy()
+    return pos, (entries & 1).astype(np.uint8)
 
 
 # -- interactive error correction --------------------------------------
 
+# phase 2 gives up after this many repairs; see error_correct
+EC_MAX_FIXUPS = 256
+# a sample with fewer mismatches than this sizes phase-1 blocks as if it
+# had this many, where the key is long enough for the difference to
+# matter; see run_protocol2
+EC_MIN_MISMATCHES = 3
 
-def _bisect_fix(diff: np.ndarray, order: np.ndarray, bob: np.ndarray) -> int:
-    """Binary-search one flipped bit inside an odd-parity segment.
+# numpy's PCG64 (XSL-RR 128/64): each draw steps the state to
+# state * _PCG_MULT + inc mod 2**128 and outputs the stepped state
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
 
-    diff is bob ^ alice over the full string, order the segment's
-    positions.  Returns the number of parity comparisons spent.
+
+def _bisect(flips: list[int], lo: int, hi: int) -> tuple[int, int]:
+    """Binary-search one flipped bit among indices lo..hi-1, which hold
+    an odd number of the sorted indices in flips.
+
+    Each step announces the parity of the lower half.  Returns the index
+    found and the parity bits disclosed, the segment's own included.
     """
-    lo, hi = 0, order.size
-    spent = 0
+    spent = 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         spent += 1
-        if diff[order[lo:mid]].sum() & 1:
+        if (bisect_left(flips, mid) - bisect_left(flips, lo)) & 1:
             hi = mid
         else:
             lo = mid
-    j = order[lo]
-    bob[j] ^= 1
-    diff[j] ^= 1
-    return spent + 1  # +1 for the segment's own parity announcement
+    return lo, spent
+
+
+def _parity_passes(
+    diff: np.ndarray, bob: np.ndarray, block: int, rng, max_passes: int
+) -> tuple[int, int]:
+    """Phase 1 on diff = alice ^ bob, repairing bob and diff in place;
+    returns (parity bits disclosed, errors repaired)."""
+    n = diff.size
+    leak = repaired = 0
+    for _ in range(max_passes):
+        order = rng.permutation(n)
+        shuffled = diff[order]
+        starts = np.arange(0, n, block)
+        leak += starts.size
+        odd = np.flatnonzero(np.add.reduceat(shuffled, starts) & 1)
+        flips = np.flatnonzero(shuffled).tolist()
+        for start in starts[odd].tolist():
+            i, spent = _bisect(flips, start, min(start + block, n))
+            leak += spent
+            bob[order[i]] ^= 1
+            diff[order[i]] ^= 1
+        repaired += odd.size
+        if odd.size == 0:
+            return leak, repaired
+        block = min(n, block * 2)
+    raise NonConvergence(f"no clean pass within {max_passes} passes")
+
+
+class _DrawnMasks:
+    """Phase-2 subsets, rng.random(n) < 0.5 once per round, each drawn
+    in full."""
+
+    def __init__(self, rng, n: int):
+        self.rng, self.n = rng, n
+
+    def odd(self, errs: np.ndarray) -> bool:
+        """Whether this round's subset holds an odd number of errs."""
+        self.mask = self.rng.random(self.n) < 0.5
+        return bool(np.count_nonzero(self.mask[errs]) & 1)
+
+    def take(self) -> np.ndarray:
+        """This round's subset; moves on to the next round."""
+        return self.mask
+
+    def next(self) -> None:
+        pass
+
+    def skip(self, rounds: int) -> None:
+        for _ in range(rounds):
+            self.rng.random(self.n)
+
+    def close(self) -> None:
+        pass
+
+
+def _pcg_top_bits(a_hi, a_lo, c_hi, c_lo, state: int) -> np.ndarray:
+    """Top bits of the PCG64 outputs at the states a*state + c mod 2**128,
+    elementwise; a and c come as uint64 halves, products in 32-bit limbs."""
+    m32 = np.uint64(0xFFFFFFFF)
+    s_hi, s_lo = np.uint64(state >> 64), np.uint64(state & _M64)
+    s0, s1 = s_lo & m32, s_lo >> 32
+    a0, a1 = a_lo & m32, a_lo >> 32
+    x00, x01, x10 = a0 * s0, a0 * s1, a1 * s0
+    mid = (x00 >> 32) + (x01 & m32) + (x10 & m32)
+    lo = (x00 & m32) | (mid << 32)
+    hi = a1 * s1 + (x01 >> 32) + (x10 >> 32) + (mid >> 32) + a_hi * s_lo + a_lo * s_hi
+    t_lo = lo + c_lo
+    t_hi = hi + c_hi + (t_lo < lo)
+    # the output is (hi ^ lo) rotated right by hi >> 58
+    return ((t_hi ^ t_lo) >> (((t_hi >> 58) + 63) & 63)) & 1
+
+
+class _PcgMasks(_DrawnMasks):
+    """The same subsets from a PCG64 generator, drawn only as far as a
+    round needs: its bits at the positions still in error come from
+    jumping ahead in the generator's state, and only a round with odd
+    parity there is drawn in full, for bisection.  close() leaves the
+    generator where drawing every round would have left it.
+    """
+
+    def __init__(self, rng, n: int):
+        self.n = n
+        self.bitgen = rng.bit_generator
+        self.saved = self.bitgen.state
+        self.state, self.inc = self.saved["state"]["state"], self.saved["state"]["inc"]
+        self.known = np.zeros(0, dtype=np.int64)  # positions with jumps tabled
+
+    def jump(self, steps: int) -> tuple[int, int]:
+        """(a, c) such that steps draws take state s to a*s + c."""
+        a = pow(_PCG_MULT, steps, 1 << 128)
+        # inc * (1 + mult + ... + mult**(steps-1)), divided exactly
+        g = (pow(_PCG_MULT, steps, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
+        return a, (self.inc * g) & _M128
+
+    def odd(self, errs: np.ndarray) -> bool:
+        at = np.searchsorted(self.known, errs)
+        if at[-1] >= self.known.size or not np.array_equal(self.known[at], errs):
+            jumps = [self.jump(p + 1) for p in errs.tolist()]
+            self.table = [np.array(v, dtype=np.uint64) for v in zip(
+                *((a >> 64, a & _M64, c >> 64, c & _M64) for a, c in jumps))]
+            self.known, at = errs, np.arange(errs.size)
+        top = _pcg_top_bits(*(v[at] for v in self.table), self.state)
+        return bool((errs.size - np.count_nonzero(top)) & 1)
+
+    def take(self) -> np.ndarray:
+        gen = np.random.PCG64(0)
+        gen.state = {**self.saved, "state": {"state": self.state, "inc": self.inc}}
+        self.next()
+        # random() < 0.5 exactly when the 64-bit output's top bit is 0
+        return gen.random_raw(self.n) < (1 << 63)
+
+    def next(self) -> None:
+        self.skip(1)
+
+    def skip(self, rounds: int) -> None:
+        if rounds:
+            a, c = self.jump(rounds * self.n)
+            self.state = (a * self.state + c) & _M128
+
+    def close(self) -> None:
+        # random() draws whole 64-bit outputs, so the buffered 32-bit
+        # half in the saved state is still current
+        self.bitgen.state = {**self.saved, "state": {"state": self.state, "inc": self.inc}}
+
+
+def _verify(
+    diff: np.ndarray, bob: np.ndarray, masks: _DrawnMasks, rounds: int, max_fixups: int
+) -> tuple[int, int, bool]:
+    """Phase 2 on diff = alice ^ bob, repairing bob and diff in place;
+    returns (parity bits disclosed, repairs, whether rounds parities in
+    a row matched)."""
+    errs = np.flatnonzero(diff)
+    leak = streak = fixups = 0
+    while streak < rounds and fixups <= max_fixups:
+        if errs.size == 0:  # every round left matches
+            masks.skip(rounds - streak)
+            return leak + rounds - streak, fixups, True
+        leak += 1
+        if masks.odd(errs):
+            mask = masks.take()
+            subset = np.flatnonzero(mask)
+            ranks = np.searchsorted(subset, errs[mask[errs]]).tolist()
+            i, spent = _bisect(ranks, 0, subset.size)
+            j = subset[i]
+            bob[j] ^= 1
+            diff[j] ^= 1
+            errs = errs[errs != j]
+            leak += spent
+            streak = 0
+            fixups += 1
+        else:
+            masks.next()
+            streak += 1
+    return leak, fixups, streak == rounds
 
 
 def error_correct(
@@ -310,7 +476,7 @@ def error_correct(
     rng,
     max_passes: int = 30,
     verify_rounds: int = 64,
-    max_fixups: int = 256,
+    max_fixups: int = EC_MAX_FIXUPS,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Interactive parity error correction; returns (alice's string,
     corrected bob copy, parity bits disclosed).
@@ -320,8 +486,18 @@ def error_correct(
     per pass until a pass is clean.  Phase 2: random-subset parities
     must match verify_rounds times in a row, each mismatch triggering
     one more bisection repair, which leaves a residual mismatch
-    probability of at most 2**-verify_rounds.  Gives up with
-    NonConvergence when the pass or fix-up caps are exceeded.
+    probability of at most 2**-verify_rounds.
+
+    A hint far below the true error rate makes phase-1 blocks too large
+    and leaves phase 2 more than max_fixups errors.  Phase 2 then stops,
+    and both phases run once more on what is left, with the hint raised
+    to at least twice the rate of errors repaired so far.  Gives up with
+    NonConvergence when the pass cap is exceeded or the second phase 2
+    also exceeds the fix-up cap.
+
+    The simulation follows diff = alice ^ bob, so a parity comparison
+    is the parity of diff over a subset.  Results, disclosures and the
+    draws taken from rng do not depend on how the subsets are computed.
     """
     if alice.shape != bob.shape or alice.ndim != 1:
         raise ValueError("need two equal-length bit vectors")
@@ -330,51 +506,24 @@ def error_correct(
         return alice.copy(), bob.copy(), 0
     bob = bob.copy()
     diff = (alice ^ bob).astype(np.uint8)
-    leak = 0
+    leak = repaired = 0
+    pcg = isinstance(getattr(rng, "bit_generator", None), np.random.PCG64)
 
-    block = max(2, int(round(0.73 / max(eps_hint, 1.0 / n))))
-    clean = False
-    for _ in range(max_passes):
-        order = rng.permutation(n)
-        starts = np.arange(0, n, block)
-        sums = np.add.reduceat(diff[order], starts)
-        leak += starts.size
-        odd = np.nonzero(sums & 1)[0]
-        for b in odd:
-            seg = order[starts[b] : starts[b] + block]
-            leak += _bisect_fix(diff, seg, bob)
-        if odd.size == 0:
-            clean = True
-            break
-        block = min(n, block * 2)
-    if not clean:
-        raise NonConvergence(f"no clean pass within {max_passes} passes")
-
-    streak = 0
-    fixups = 0
-    while streak < verify_rounds:
-        mask = rng.random(n) < 0.5
-        leak += 1
-        if diff[mask].sum() & 1:
-            subset = np.nonzero(mask)[0]
-            leak += _bisect_fix(diff, subset, bob)
-            streak = 0
-            fixups += 1
-            if fixups > max_fixups:
-                raise NonConvergence("verification keeps finding mismatches")
-        else:
-            streak += 1
-    return alice.copy(), bob, leak
+    for _ in range(2):
+        block = max(2, int(round(0.73 / max(eps_hint, 1.0 / n))))
+        spent, found = _parity_passes(diff, bob, block, rng, max_passes)
+        masks = _PcgMasks(rng, n) if pcg else _DrawnMasks(rng, n)
+        checked, fixups, matched = _verify(diff, bob, masks, verify_rounds, max_fixups)
+        masks.close()
+        leak += spent + checked
+        if matched:
+            return alice.copy(), bob, leak
+        repaired += found + fixups
+        eps_hint = max(eps_hint, 2.0 * repaired / n)
+    raise NonConvergence("verification keeps finding mismatches")
 
 
 # -- privacy amplification ---------------------------------------------
-
-
-def _pack_bits_padded(bits: np.ndarray, n_bytes: int) -> np.ndarray:
-    out = np.zeros(n_bytes, dtype=np.uint8)
-    packed = np.packbits(bits)
-    out[: packed.size] = packed
-    return out
 
 
 def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString:
@@ -384,6 +533,12 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     seed payload, so both parties reproduce the same matrix from the
     short announced seed.  An empty seed is an explicit test hook that
     returns the first out_len bits unchanged.
+
+    T[i, j] = diag[(n_in - 1) + i - j], so output bit i is the parity of
+    the full convolution (diag * x)[n_in - 1 + i], computed with one
+    real FFT product.  Each convolution term is an integer count of at
+    most n_in; ArithmeticError is raised, rather than a bit guessed, if
+    a float64 result lies 0.25 or more from the nearest integer.
     """
     n_in = len(bits)
     if not 0 <= out_len <= n_in:
@@ -395,39 +550,22 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     rng = make_rng(int.from_bytes(seed.to_bytes(), "big"))
     diag = rng.integers(0, 2, size=n_in + out_len - 1, dtype=np.uint8)
 
-    # T[i, j] = diag[(n_in - 1) + i - j]; row i is diag[i : i + n_in]
-    # against the reversed input, so the product is 8 strided
-    # byte-aligned sliding-window passes over packed arrays.
-    n_bytes = (n_in + 7) // 8
-    x = _pack_bits_padded(bits.bits[::-1], n_bytes)
-    d_len = n_bytes + (out_len + 7) // 8 + 1
-    shifted = [
-        _pack_bits_padded(diag[s : s + 8 * d_len], d_len) for s in range(8)
-    ]
-    out = np.empty(out_len, dtype=np.uint8)
-    chunk = 4096
-    for s in range(8):
-        rows = np.arange(s, out_len, 8)
-        if rows.size == 0:
-            continue
-        view = np.lib.stride_tricks.as_strided(
-            shifted[s],
-            shape=(rows.size, n_bytes),
-            strides=(1, 1),
-            writeable=False,
-        )
-        acc = np.empty(rows.size, dtype=np.int64)
-        for lo in range(0, rows.size, chunk):
-            part = view[lo : lo + chunk] & x
-            acc[lo : lo + chunk] = np.bitwise_count(part).sum(axis=1)
-        out[rows] = (acc & 1).astype(np.uint8)
-    return BitString(out)
+    n_fft = sfft.next_fast_len(n_in + diag.size - 1, real=True)
+    spectrum = sfft.rfft(diag, n_fft) * sfft.rfft(bits.bits, n_fft)
+    conv = sfft.irfft(spectrum, n_fft)[n_in - 1 : n_in - 1 + out_len]
+    counts = np.rint(conv)
+    if np.max(np.abs(conv - counts)) >= 0.25:
+        raise ArithmeticError("FFT convolution too inexact to round to counts")
+    return BitString((counts.astype(np.int64) & 1).astype(np.uint8))
 
 
-def compute_out_len(params: BudgetParams, eps_est: float) -> int:
+def compute_out_len(params: BudgetParams, eps_est: float, leak: int = 0) -> int:
     """Refuelled key length: the distilled-key budget at the estimated
-    error rate, rounded down."""
-    return int(math.floor(distilled_len(replace(params, eps=eps_est))))
+    error rate, less the error-correction leak beyond what the budget's
+    corrected length already allows for at that rate, rounded down."""
+    n_s = expected_sifted_len(params)
+    excess = max(0.0, leak - (n_s - corrected_len(n_s, eps_est)))
+    return int(math.floor(distilled_len(replace(params, eps=eps_est)) - excess))
 
 
 # -- adversary scripts ---------------------------------------------------
@@ -735,16 +873,22 @@ def run_protocol2(
         return finish()
 
     eps_est = state["eps_est"]
+    # With under EC_MIN_MISMATCHES mismatches the sample can put the rate
+    # at half the truth or less.  Phase 1 then leaves errors in pairs, and
+    # phase 2 repairs them one full-length subset at a time, up to its
+    # cap.  Once the key holds more errors at the floor rate than that
+    # cap, phase 1 starts from the floor rate instead.
+    hint = max(eps_est, 1e-4)
+    if k < EC_MIN_MISMATCHES and alice_key.size * EC_MIN_MISMATCHES > EC_MAX_FIXUPS * s_real:
+        hint = EC_MIN_MISMATCHES / s_real
     try:
-        _, bob_corrected, leak = error_correct(
-            alice_key, bob_key, max(eps_est, 1e-4), proto_rng
-        )
+        _, bob_corrected, leak = error_correct(alice_key, bob_key, hint, proto_rng)
     except NonConvergence:
         state["refuel_reason"] = "ec-nonconvergence"
         return finish()
     state["leak"] = leak
 
-    out_len = compute_out_len(params, eps_est)
+    out_len = compute_out_len(params, eps_est, leak)
     state["out_len"] = out_len
     if out_len <= 0:
         state["refuel_reason"] = "budget-nonpositive"

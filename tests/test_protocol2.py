@@ -5,13 +5,20 @@ row from the same seed and multiplies it naively; the session tests
 pin the exact key-consumption accounting and walk every abort edge.
 """
 
+import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qident import auth
-from qident.budget import BudgetParams, min_initial_secret_bits
+from qident import auth, protocol2
+from qident.budget import (
+    BudgetParams,
+    corrected_len,
+    expected_sifted_len,
+    min_initial_secret_bits,
+)
 from qident.channel import EveParams, EveStrategy
 from qident.core import BitString, PoolExhausted, SecretPool, make_rng, random_bitstring
 from qident.protocol2 import (
@@ -21,6 +28,8 @@ from qident.protocol2 import (
     NonConvergence,
     WireFormatError,
     WireMessage,
+    _build_announce,
+    _parse_announce,
     compute_out_len,
     default_pool_bits,
     error_correct,
@@ -130,6 +139,31 @@ class TestSubsetSelection:
         assert np.all(np.abs(hits - 150) <= 4 * sd + 1e-9)
 
 
+class TestAnnounceEncoding:
+    def test_entries_are_position_then_basis(self, rng):
+        w = position_field_bits(100_000)
+        pos = np.sort(rng.choice(100_000, size=50, replace=False))
+        bases = rng.integers(0, 2, 50, dtype=np.uint8)
+        payload = _build_announce(pos, bases, w)
+        assert payload.to01() == "".join(
+            format(int(p), f"0{w}b") + str(int(b)) for p, b in zip(pos, bases)
+        )
+        got_pos, got_bases = _parse_announce(payload, w, 100_000)
+        assert np.array_equal(got_pos, pos)
+        assert np.array_equal(got_bases, bases)
+
+    def test_malformed_payloads_raise_wire_format_error(self):
+        w = position_field_bits(100_000)
+        payload = _build_announce(np.array([3, 9, 40]), np.array([1, 0, 1]), w)
+        with pytest.raises(WireFormatError):
+            _parse_announce(payload[:-1], w, 100_000)
+        with pytest.raises(WireFormatError):
+            _parse_announce(payload, w, 40)
+        reordered = payload[w + 1 :] + payload[: w + 1]
+        with pytest.raises(WireFormatError):
+            _parse_announce(reordered, w, 100_000)
+
+
 class TestErrorCorrection:
     def test_identical_inputs_leak_only_parities(self, rng):
         a = rng.integers(0, 2, 1024, dtype=np.uint8)
@@ -174,6 +208,94 @@ class TestErrorCorrection:
         with pytest.raises(NonConvergence):
             error_correct(a, b, 0.01, rng, max_passes=0)
 
+    def test_hint_at_half_the_true_rate_converges(self, rng):
+        # a reference-size key at eps = 0.004 whose sample showed k = 2 of
+        # 1000: phase-1 blocks start twice too large and ~1,100 errors
+        # exceed the 256 fix-ups of the first verification phase
+        n = 285_000
+        a = rng.integers(0, 2, n, dtype=np.uint8)
+        b = a ^ (rng.random(n) < 0.004).astype(np.uint8)
+        assert (a != b).sum() > 1000
+        _, bob, leak = error_correct(a, b, 0.002, rng)
+        assert np.array_equal(bob, a)
+        assert 0 < leak < n // 10
+
+    def test_gives_up_when_the_retry_also_fails(self, rng):
+        a = rng.integers(0, 2, 20_000, dtype=np.uint8)
+        b = a ^ (rng.random(20_000) < 0.004).astype(np.uint8)
+        with pytest.raises(NonConvergence):
+            error_correct(a, b, 0.0005, rng, max_fixups=0)
+
+    def test_bisect_on_ranks_matches_gathered_parities(self, rng):
+        # reference: halve the segment and gather the parity of the lower
+        # half from the difference vector, as the protocol announces it
+        def gathered(diff, order):
+            lo, hi, spent = 0, order.size, 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                spent += 1
+                if diff[order[lo:mid]].sum() & 1:
+                    hi = mid
+                else:
+                    lo = mid
+            return lo, spent
+
+        for size in (1, 2, 3, 7, 100, 1000):
+            for _ in range(20):
+                diff = (rng.random(5000) < rng.choice([0.001, 0.01, 0.3])).astype(np.uint8)
+                order = rng.choice(5000, size, replace=False)
+                if diff[order].sum() % 2 == 0:
+                    continue
+                ranks = np.flatnonzero(diff[order]).tolist()
+                assert protocol2._bisect(ranks, 0, size) == gathered(diff, order)
+
+    @pytest.mark.parametrize(
+        "n, rate, hint, kw",
+        [
+            (1, 0.0, 0.01, {}),
+            (300, 0.05, 0.0001, {}),
+            (4_500, 0.004, 0.002, {}),
+            (20_000, 0.004, 0.0005, {}),
+            (20_000, 0.004, 0.004, {"verify_rounds": 3}),
+            (20_000, 0.01, 0.001, {"max_fixups": 5}),
+            (60_000, 0.004, 0.003, {}),
+            (20_000, 0.3, 0.01, {"max_fixups": 2}),
+        ],
+    )
+    def test_subsets_computed_as_if_drawn_in_full(self, monkeypatch, n, rate, hint, kw):
+        # phase 2 on a PCG64 generator jumps over the subsets it does not
+        # need in full; results, disclosures and the generator's next
+        # draws must equal those of drawing every subset in full
+        data = make_rng(n)
+        a = data.integers(0, 2, n, dtype=np.uint8)
+        b = a ^ (data.random(n) < rate).astype(np.uint8)
+
+        def run():
+            gen = make_rng(99)
+            gen.integers(0, 5)  # leaves a buffered 32-bit half
+            try:
+                _, bob, leak = error_correct(a, b, hint, gen, **kw)
+                out = bob.tobytes(), leak
+            except NonConvergence as exc:
+                out = str(exc)
+            return out, gen.bit_generator.state
+
+        jumped = run()
+        monkeypatch.setattr(protocol2, "_PcgMasks", protocol2._DrawnMasks)
+        assert jumped == run()
+
+    def test_pcg_top_bits_match_the_generator(self):
+        gen = make_rng(5)
+        state = gen.bit_generator.state["state"]
+        masks = protocol2._PcgMasks(gen, 1000)
+        steps = [1, 2, 3, 64, 999, 1000]
+        jumps = [masks.jump(t) for t in steps]
+        halves = [np.array(v, dtype=np.uint64) for v in zip(
+            *((a >> 64, a & protocol2._M64, c >> 64, c & protocol2._M64) for a, c in jumps))]
+        top = protocol2._pcg_top_bits(*halves, state["state"])
+        raw = gen.bit_generator.random_raw(1000)
+        assert top.tolist() == [int(raw[t - 1] >> 63) for t in steps]
+
 
 class TestPrivacyAmplification:
     def test_empty_seed_is_identity_hook(self, rng):
@@ -182,7 +304,8 @@ class TestPrivacyAmplification:
 
     def test_matches_naive_toeplitz(self, rng):
         # rebuild the matrix from the same seed and multiply it naively
-        for n_in, out_len in ((20, 8), (64, 64), (131, 40)):
+        cases = ((1, 1), (20, 8), (64, 64), (131, 40), (77, 77), (203, 9), (1000, 333))
+        for n_in, out_len in cases:
             bits = random_bitstring(n_in, rng)
             seed = random_bitstring(128, rng)
             got = privacy_amplify(bits, out_len, seed)
@@ -196,6 +319,25 @@ class TestPrivacyAmplification:
                 for i in range(out_len)
             ]
             assert got.to01() == "".join(str(v) for v in want)
+
+    def test_reference_size_output_pinned(self):
+        # SHA-256 of the output of the strided-popcount routine that the
+        # FFT product replaced, at the reference session's PA size
+        bits = random_bitstring(285_114, make_rng(1))
+        seed = random_bitstring(128, make_rng(2))
+        out = privacy_amplify(bits, 125_026, seed)
+        assert len(out) == 125_026
+        assert hashlib.sha256(out.to_bytes()).hexdigest() == (
+            "e298cd59aebc73ca08cbe273c4888d65c2f5ece4139373e1e39517fa29f83fdd"
+        )
+
+    def test_inexact_convolution_raises(self, rng, monkeypatch):
+        irfft = protocol2.sfft.irfft
+        monkeypatch.setattr(
+            protocol2.sfft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.5
+        )
+        with pytest.raises(ArithmeticError):
+            privacy_amplify(random_bitstring(300, rng), 100, random_bitstring(128, rng))
 
     def test_linear_over_xor(self, rng):
         x = random_bitstring(500, rng)
@@ -233,6 +375,15 @@ class TestOutLen:
 
     def test_floors_at_zero(self):
         assert compute_out_len(REFERENCE, 0.2) == 0
+
+    def test_leak_beyond_the_corrected_length_is_charged(self):
+        n_s = expected_sifted_len(REFERENCE)
+        allowed = n_s - corrected_len(n_s, 0.004)
+        base = compute_out_len(REFERENCE, 0.004)
+        assert compute_out_len(REFERENCE, 0.004, math.floor(allowed)) == base
+        # the excess is 1000 plus a fraction of a bit
+        charged = compute_out_len(REFERENCE, 0.004, math.ceil(allowed) + 1000)
+        assert charged in (base - 1001, base - 1000)
 
 
 class TestHonestSession:
@@ -298,10 +449,50 @@ class TestHonestSession:
         with pytest.raises(ValueError):
             run_protocol2(replace(SMALL, a=34), seed=4)
 
+    def test_low_sample_count_still_refuels_at_reference_scale(self, monkeypatch):
+        # this seed's sample shows k = 2 against a true eps of 0.004; error
+        # correction starts from 3 / s_real, and the leak beyond what the
+        # budget allows at k / s_real comes off the refuelled length
+        hints = spy_on_hints(monkeypatch)
+        res = run_protocol2(REFERENCE, seed=7836605422402701693)
+        assert res.k == 2
+        assert hints == [protocol2.EC_MIN_MISMATCHES / res.s_real]
+        assert res.refueled and res.refuel_reason is None
+        n_s = expected_sifted_len(REFERENCE)
+        assert res.leak > n_s - corrected_len(n_s, res.eps_est)
+        assert res.out_len == compute_out_len(REFERENCE, res.eps_est, res.leak)
+        assert res.out_len < compute_out_len(REFERENCE, res.eps_est)
+        assert res.out_len <= res.n_key - res.leak
+        assert res.net > 0
+        assert_pools_mirrored(res)
+
+    def test_low_sample_count_keeps_its_hint_on_short_keys(self, monkeypatch):
+        # at 1e5 pulses phase 2 alone can repair every error a low hint
+        # leaves, so the sampled rate is used as it is
+        hints = spy_on_hints(monkeypatch)
+        for seed in range(40):
+            res = run_protocol2(SMALL, seed=seed)
+            if res.k < protocol2.EC_MIN_MISMATCHES and res.refueled:
+                break
+        else:
+            pytest.fail("no refuelled 1e5-pulse session with a low sample count")
+        assert hints[-1] == max(res.eps_est, 1e-4)
+
     def test_too_few_detections(self):
         tiny = replace(REFERENCE, n_pulses=5000)
         with pytest.raises(InsufficientDetections):
             run_protocol2(tiny, seed=4)
+
+
+def spy_on_hints(monkeypatch):
+    hints = []
+
+    def spy(alice, bob, eps_hint, rng, **kw):
+        hints.append(eps_hint)
+        return error_correct(alice, bob, eps_hint, rng, **kw)
+
+    monkeypatch.setattr(protocol2, "error_correct", spy)
+    return hints
 
 
 def flip_payload_bit(kind, bit=7):
