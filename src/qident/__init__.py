@@ -15,7 +15,6 @@ The package splits into three layers:
 """
 
 from .core import (
-    BasisString,
     BitString,
     LengthMismatch,
     PoolExhausted,
@@ -28,7 +27,6 @@ from .core import (
 )
 
 __all__ = [
-    "BasisString",
     "BitString",
     "LengthMismatch",
     "PoolExhausted",

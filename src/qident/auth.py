@@ -24,11 +24,24 @@ groups, then zero words up to d.  An empty message is therefore
 (1, 0, 0, ...).  Zero padding makes the map injective per message
 length, not globally; decode_message takes the length as context, and
 protocol messages have kind-fixed lengths.
+
+Key drawing
+-----------
+Key words are drawn from the shared bits as consecutive w-bit groups;
+a group whose value is p or more is rejected and the next one taken, so
+every word is exactly uniform on [0, p).  The groups are read in
+batches: as many as there are words still missing, then again only for
+the words rejection discarded.  The bits consumed are therefore exactly
+those of drawing one group at a time, and both parties, holding the same
+bits, consume the same count.  A supply that cannot finish the key
+raises PoolExhausted and is not advanced at all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -102,6 +115,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
 def _check_modulus(p: int) -> int:
     if p < 2 or not _is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
@@ -175,17 +189,27 @@ def max_message_bits(n_words: int, p: int = M61) -> int:
     return w * (n_words - 1) - 1
 
 
-def _group_values(bits: BitString, w: int) -> list[int]:
-    """Big-endian w-bit group values, the last group zero-padded."""
-    padded = bits.bits.tolist()
-    padded += [0] * (-len(padded) % w)
-    out = []
-    for i in range(0, len(padded), w):
-        v = 0
-        for b in padded[i : i + w]:
-            v = (v << 1) | b
-        out.append(v)
-    return out
+def _group_values(bits: np.ndarray, w: int) -> np.ndarray:
+    """Big-endian values of the w-bit groups of a 0/1 array, the last
+    group zero-padded, as an object array of exact Python ints."""
+    limbs = -(-w // 64)
+    groups = np.concatenate([bits, np.zeros(-bits.size % w, np.uint8)]).reshape(-1, w)
+    grid = np.pad(groups, ((0, 0), (64 * limbs - w, 0)))  # whole 64-bit limbs
+    parts = np.packbits(grid, axis=1).view(">u8").astype(object)
+    values = parts[:, 0]
+    for j in range(1, limbs):
+        values = (values << 64) | parts[:, j]
+    return values
+
+
+def _group_bits(values, w: int) -> np.ndarray:
+    """Inverse of _group_values: the w big-endian bits of each value."""
+    limbs = -(-w // 64)
+    values = np.array(values, dtype=object)
+    parts = np.empty((values.size, limbs), dtype=">u8")
+    for j in range(limbs):
+        parts[:, j] = (values >> (64 * (limbs - 1 - j))) & ((1 << 64) - 1)
+    return np.unpackbits(parts.view(np.uint8), axis=1)[:, 64 * limbs - w :].ravel()
 
 
 def encode_message(bits: BitString, n_words: int, p: int = M61) -> tuple[int, ...]:
@@ -200,12 +224,8 @@ def encode_message(bits: BitString, n_words: int, p: int = M61) -> tuple[int, ..
         )
     esc = p - 1
     out = [1]
-    for v in _group_values(bits, w):
-        if v >= esc:
-            out.append(esc)
-            out.append(v - esc)
-        else:
-            out.append(v)
+    for v in _group_values(bits.bits, w).tolist():
+        out += (esc, v - esc) if v >= esc else (v,)
     if len(out) > n_words:
         raise MessageTooLong(
             f"{len(bits)} bits need {len(out)} words after escaping, "
@@ -225,8 +245,8 @@ def decode_message(words, msg_len: int, p: int = M61) -> BitString:
     w = _check_encoding_modulus(p)
     if msg_len < 0:
         raise ValueError("msg_len must be non-negative")
-    words = tuple(int(x) for x in words)
-    if any(x < 0 or x >= p for x in words):
+    words = tuple(map(int, words))
+    if words and (min(words) < 0 or max(words) >= p):
         raise DecodeError("word out of field range")
     if not words or words[0] != 1:
         raise DecodeError("missing sentinel word")
@@ -248,47 +268,43 @@ def decode_message(words, msg_len: int, p: int = M61) -> BitString:
         else:
             i += 1
         values.append(v)
-    if any(x != 0 for x in words[i:]):
+    if any(words[i:]):
         raise DecodeError("nonzero padding words")
-    bits = np.zeros(n_groups * w, dtype=np.uint8)
-    for g, v in enumerate(values):
-        for j in range(w):
-            bits[g * w + j] = (v >> (w - 1 - j)) & 1
+    bits = _group_bits(values, w)
     if bits[msg_len:].any():
         raise DecodeError("nonzero padding bits")
     return BitString(bits[:msg_len])
 
 
-def _draw_words(next_value, n_words: int, p: int, w: int) -> tuple[tuple[int, ...], int]:
-    # rejection keeps the words exactly uniform on [0, p); for the
-    # Mersenne modulus only the all-ones group is ever rejected
-    out: list[int] = []
-    consumed = 0
-    while len(out) < n_words:
-        v = next_value()
-        consumed += w
-        if v < p:
-            out.append(v)
-    return tuple(out), consumed
-
-
-def _bits_value(bits: BitString) -> int:
-    v = 0
-    for b in bits.bits.tolist():
-        v = (v << 1) | b
-    return v
+def _draw_words(supply: np.ndarray, n_words: int, p: int) -> tuple[tuple[int, ...], int]:
+    # each batch reads exactly the words still missing, so the last group
+    # read completes the key, as in a one-at-a-time draw
+    w = _check_modulus(p)
+    key: list[int] = []
+    used = 0
+    while len(key) < n_words:
+        need = (n_words - len(key)) * w
+        if used + need > supply.size:
+            raise PoolExhausted(
+                f"{supply.size} bits exhausted before {n_words} words drawn"
+            )
+        values = _group_values(supply[used : used + need], w)
+        key += values[values < p].tolist()
+        used += need
+    return tuple(key), used
 
 
 def key_from_pool(
     pool: SecretPool, n_words: int, p: int = M61
 ) -> tuple[tuple[int, ...], int]:
-    """Consume w-bit groups from the shared pool until n_words valid key
-    words are drawn; returns (key, bits consumed).  Both parties run
-    this on identical pools, so they reject the same groups and consume
-    the same number of bits.  Raises PoolExhausted when the pool runs
-    dry mid-draw."""
-    w = _check_modulus(p)
-    return _draw_words(lambda: _bits_value(pool.consume(w)), n_words, p, w)
+    """Draw n_words key words from the shared pool and consume the bits
+    read; returns (key, bits consumed).  Both parties run this on
+    identical pools, so they reject the same groups and consume the
+    same number of bits.  Raises PoolExhausted, leaving the pointer
+    where it was, when the pool cannot finish the key."""
+    key, used = _draw_words(pool.peek(), n_words, p)
+    pool.consume(used)
+    return key, used
 
 
 def key_from_bits(
@@ -297,27 +313,14 @@ def key_from_bits(
     """key_from_pool against a fixed bit supply; returns (key, bits
     consumed).  Raises PoolExhausted if the supply runs out before
     n_words words survive rejection."""
-    w = _check_modulus(p)
-    pos = 0
-
-    def next_value() -> int:
-        nonlocal pos
-        if pos + w > len(bits):
-            raise PoolExhausted(
-                f"{len(bits)} bits exhausted before {n_words} words drawn"
-            )
-        v = _bits_value(bits[pos : pos + w])
-        pos += w
-        return v
-
-    return _draw_words(next_value, n_words, p, w)
+    return _draw_words(bits.bits, n_words, p)
 
 
 def _check_key(key, n_words: int, p: int) -> tuple[int, ...]:
-    key = tuple(int(x) for x in key)
+    key = tuple(map(int, key))
     if len(key) != n_words:
         raise BadKey(f"key has {len(key)} words, message vector has {n_words}")
-    if any(x < 0 or x >= p for x in key):
+    if key and (min(key) < 0 or max(key) >= p):
         raise BadKey("key word out of field range")
     return key
 
@@ -325,9 +328,9 @@ def _check_key(key, n_words: int, p: int) -> tuple[int, ...]:
 def tag_message(key, msg_words, p: int = M61) -> int:
     """Inner product of key and message vectors over GF(p); exact
     big-integer arithmetic, no overflow at any word size."""
-    msg_words = tuple(int(x) for x in msg_words)
+    msg_words = tuple(map(int, msg_words))
     key = _check_key(key, len(msg_words), p)
-    return sum(r * c for r, c in zip(key, msg_words)) % p
+    return sum(map(operator.mul, key, msg_words)) % p
 
 
 def authenticate(bits: BitString, key, p: int = M61) -> int:

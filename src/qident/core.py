@@ -23,14 +23,12 @@ __all__ = [
     "RECT",
     "DIAG",
     "BitString",
-    "BasisString",
     "Triad",
     "SecretPool",
     "pointer_sync",
     "make_rng",
     "spawn_streams",
     "random_bitstring",
-    "random_basis_string",
     "strict_ceil",
     "pack_uints",
     "unpack_uints",
@@ -49,8 +47,7 @@ class LengthMismatch(QidentError):
     """Two bit strings that must have equal length do not."""
 
 
-# Polarization basis labels.  RECT/DIAG values double as the bit written
-# into a BasisString.
+# Polarization basis labels; a basis sequence stores them as bits.
 RECT = 0
 DIAG = 1
 
@@ -185,10 +182,6 @@ class BitString:
         return "".join("1" if b else "0" for b in self._bits)
 
 
-class BasisString(BitString):
-    """Sequence of measurement bases over {RECT, DIAG}, stored as bits."""
-
-
 @dataclass(frozen=True)
 class Triad:
     """One identification-sequence triple shared by two parties.
@@ -249,6 +242,13 @@ class SecretPool:
         self._pointer += n
         return out
 
+    def peek(self) -> np.ndarray:
+        """Read-only view of the unused bits; the pointer does not move,
+        so a caller that acts on them must consume them."""
+        view = self._store[self._pointer :]
+        view.flags.writeable = False
+        return view
+
     def advance_to(self, pointer: int) -> None:
         """Move the pointer forward to an absolute position (never back)."""
         if pointer < self._pointer:
@@ -298,13 +298,6 @@ def random_bitstring(n: int, rng: np.random.Generator) -> BitString:
     if n < 0:
         raise ValueError("length must be non-negative")
     return BitString(rng.integers(0, 2, size=n, dtype=np.uint8))
-
-
-def random_basis_string(n: int, rng: np.random.Generator) -> BasisString:
-    """n independent uniformly chosen bases."""
-    if n < 0:
-        raise ValueError("length must be non-negative")
-    return BasisString(rng.integers(0, 2, size=n, dtype=np.uint8))
 
 
 # -- fixed-width integer packing ------------------------------------

@@ -57,7 +57,6 @@ from .budget import (
     corrected_len,
     distilled_len,
     expected_sifted_len,
-    min_initial_secret_bits,
 )
 from .channel import ChannelParams, EveParams, EveStrategy, QkdRun, run_qkd
 from .core import (
@@ -189,7 +188,7 @@ def planned_key_consumption(n_pulses: int, s: int) -> int:
 
     Slightly above min_initial_secret_bits because each key covers whole
     encoding words (sentinel and group padding) rather than bare
-    payload-plus-tag.
+    payload-plus-tag; run_protocol2 refuses to start on less.
     """
     return sum(
         auth.WORD_BITS * auth.words_needed(n_bits)
@@ -531,8 +530,7 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
 
     The matrix diagonals are the bits of a generator seeded from the
     seed payload, so both parties reproduce the same matrix from the
-    short announced seed.  An empty seed is an explicit test hook that
-    returns the first out_len bits unchanged.
+    short announced seed.  An empty seed raises ValueError.
 
     T[i, j] = diag[(n_in - 1) + i - j], so output bit i is the parity of
     the full convolution (diag * x)[n_in - 1 + i], computed with one
@@ -543,10 +541,10 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     n_in = len(bits)
     if not 0 <= out_len <= n_in:
         raise ValueError("out_len must be in [0, input length]")
+    if len(seed) == 0:
+        raise ValueError("privacy amplification needs a non-empty seed")
     if out_len == 0:
         return BitString.zeros(0)
-    if len(seed) == 0:
-        return bits[:out_len]
     rng = make_rng(int.from_bytes(seed.to_bytes(), "big"))
     diag = rng.integers(0, 2, size=n_in + out_len - 1, dtype=np.uint8)
 
@@ -656,10 +654,10 @@ def run_protocol2(
     seed drives everything (quantum run, sampling, error correction,
     compression seed).  Callers may hand in the two parties' existing
     pools (they must mirror each other); pointers are synchronized
-    first, and the session refuses to start on less than the minimum
-    secret budget.  Without explicit pools, both parties start from
-    identical fresh pools of initial_pool_bits random bits (default:
-    planned consumption plus slack).
+    first, and the session refuses to start, consuming nothing, on less
+    than the planned key consumption.  Without explicit pools, both
+    parties start from identical fresh pools of initial_pool_bits random
+    bits (default: planned consumption plus slack).
     """
     if adversary is None:
         adversary = AdversaryScript()
@@ -669,6 +667,10 @@ def run_protocol2(
             f"authentication tag width {params.a} does not match the "
             f"{auth.WORD_BITS}-bit production field"
         )
+    if 2 * params.s >= 1 << 16:
+        raise ValueError(f"2s = {2 * params.s} overflows the verdict's 16-bit k field")
+    if pa_seed_bits < 1:
+        raise ValueError("pa_seed_bits must be positive")
     if (alice_pool is None) != (bob_pool is None):
         raise ValueError("provide both pools or neither")
     root = make_rng(seed)
@@ -687,11 +689,11 @@ def run_protocol2(
     synced = pointer_sync(alice_pool.pointer, bob_pool.pointer)
     alice_pool.advance_to(synced)
     bob_pool.advance_to(synced)
-    b_min = min_initial_secret_bits(n, s, params.a)
-    if alice_pool.remaining < b_min or bob_pool.remaining < b_min:
+    floor = planned_key_consumption(n, s)
+    if alice_pool.remaining < floor or bob_pool.remaining < floor:
         raise PoolExhausted(
             f"pools hold {min(alice_pool.remaining, bob_pool.remaining)} "
-            f"unused bits, the session floor is {b_min}"
+            f"unused bits, the session floor is {floor}"
         )
 
     run: QkdRun = run_qkd(ChannelParams.from_budget(params), qkd_rng, eve)
@@ -903,6 +905,9 @@ def run_protocol2(
         tamper,
         transcript,
     )
+    if len(msg.payload) != pa_seed_bits:
+        state["refuel_reason"] = "pa-seed-structure"
+        return finish()
     alice_new = privacy_amplify(BitString(alice_key), out_len, msg.payload)
     bob_new = privacy_amplify(BitString(bob_corrected), out_len, msg.payload)
     if alice_new != bob_new:

@@ -45,6 +45,31 @@ def bs(text01: str) -> BitString:
     return BitString.from01(text01)
 
 
+def per_word_draw(supply: np.ndarray, n_words: int, p: int):
+    """Reference drawer: one w-bit group at a time, rejecting values >= p.
+    Returns (key, bits read), or (None, bits read) when the supply runs out."""
+    w = p.bit_length()
+    key, used = [], 0
+    while len(key) < n_words:
+        if used + w > supply.size:
+            return None, used
+        v = int("".join(str(b) for b in supply[used : used + w]), 2)
+        used += w
+        if v < p:
+            key.append(v)
+    return tuple(key), used
+
+
+def biased_bits(n_bits: int, p_one: float, seed: int) -> BitString:
+    gen = np.random.default_rng(seed)
+    return BitString((gen.random(n_bits) < p_one).astype(np.uint8))
+
+
+# small fields, a 13-bit Mersenne prime, the production field and one
+# wider than a 64-bit limb
+DRAW_PRIMES = (5, 7, 13, 8191, M61, (1 << 127) - 1)
+
+
 class TestParams:
     def test_production_constants(self):
         assert M61 == 2**61 - 1
@@ -147,6 +172,25 @@ class TestEncoding:
         with pytest.raises(MessageTooLong):
             encode_message(bs("1" * 60), 2)
 
+    @given(st.integers(0, 120), st.floats(0.5, 1.0), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60)
+    def test_roundtrip_escape_heavy_small_field(self, n_bits, p_one, seed):
+        # at p = 5 every 3-bit group of value 4..7 travels escaped, and
+        # mostly-ones messages escape nearly every group
+        msg = biased_bits(n_bits, p_one, seed)
+        n = 1 + 2 * -(-n_bits // 3) + 1  # room for every group escaped
+        words = encode_message(msg, n, p=5)
+        assert all(0 <= v < 5 for v in words)
+        assert decode_message(words, n_bits, p=5) == msg
+
+    def test_roundtrip_field_wider_than_a_limb(self, rng):
+        p = (1 << 127) - 1
+        for n_bits in (0, 1, 126, 127, 128, 1000):
+            msg = random_bitstring(n_bits, rng)
+            n = words_needed(n_bits, p)
+            assert decode_message(encode_message(msg, n, p), n_bits, p) == msg
+        assert encode_message(bs("1" * 127), 3, p) == (1, p - 1, 1)
+
     @given(st.integers(0, 300), st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
     def test_roundtrip_property(self, n_bits, seed):
@@ -211,6 +255,10 @@ class TestKeyDrawing:
             key_from_bits(BitString.zeros(60), 1)
         with pytest.raises(PoolExhausted):
             key_from_bits(bs("1" * 61), 1)  # rejection drains the supply
+        pool = SecretPool(bs("1" * 61 + "0" * 60))
+        with pytest.raises(PoolExhausted):
+            key_from_pool(pool, 1)
+        assert pool.pointer == 0  # a key that cannot be finished costs nothing
 
     def test_pool_matches_bits_and_advances(self, rng):
         store = random_bitstring(61 * 10, rng)
@@ -219,6 +267,37 @@ class TestKeyDrawing:
         key_b, used_b = key_from_bits(store, 4)
         assert key_a == key_b and used_a == used_b
         assert pool.pointer == used_a
+
+    @given(
+        st.sampled_from(DRAW_PRIMES),
+        st.integers(0, 10),
+        st.floats(0.0, 1.0),  # share of ones; near 1 most groups are rejected
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_batched_draw_matches_per_word_rejection(
+        self, p, n_words, p_one, seed, offset_words, data
+    ):
+        w = p.bit_length()
+        n_bits = data.draw(st.integers(0, w * (2 * n_words + 3)))
+        offset = offset_words * w
+        store = biased_bits(offset + n_bits, p_one, seed)
+        want_key, want_used = per_word_draw(store.bits[offset:], n_words, p)
+
+        pool = SecretPool(store)
+        pool.consume(offset)
+        if want_key is None:
+            with pytest.raises(PoolExhausted):
+                key_from_bits(store[offset:], n_words, p)
+            with pytest.raises(PoolExhausted):
+                key_from_pool(pool, n_words, p)
+            assert pool.pointer == offset
+            return
+        assert key_from_bits(store[offset:], n_words, p) == (want_key, want_used)
+        assert key_from_pool(pool, n_words, p) == (want_key, want_used)
+        assert pool.pointer == offset + want_used
 
     def test_two_parties_stay_aligned(self, rng):
         store = random_bitstring(61 * 20, rng)

@@ -298,9 +298,13 @@ class TestErrorCorrection:
 
 
 class TestPrivacyAmplification:
-    def test_empty_seed_is_identity_hook(self, rng):
+    def test_empty_seed_raises(self, rng):
+        # the seed travels unauthenticated; emptying it must not turn
+        # compression off
         bits = random_bitstring(100, rng)
-        assert privacy_amplify(bits, 40, BitString.zeros(0)) == bits[:40]
+        for out_len in (0, 40):
+            with pytest.raises(ValueError):
+                privacy_amplify(bits, out_len, BitString.zeros(0))
 
     def test_matches_naive_toeplitz(self, rng):
         # rebuild the matrix from the same seed and multiply it naively
@@ -439,6 +443,37 @@ class TestHonestSession:
         pools = make_pools(floor - 1)
         with pytest.raises(PoolExhausted):
             run_protocol2(SMALL, seed=4, alice_pool=pools[0], bob_pool=pools[1])
+
+    def test_refused_below_the_planned_key_consumption(self):
+        # min_initial_secret_bits undercounts the keys' whole encoding
+        # words; a session admitted there would run dry at the verdict key
+        b_min = min_initial_secret_bits(100_000, 1000, 61)
+        assert b_min < planned_key_consumption(100_000, 1000)
+        pools = make_pools(b_min)
+        with pytest.raises(PoolExhausted):
+            run_protocol2(SMALL, seed=4, alice_pool=pools[0], bob_pool=pools[1])
+        assert pools[0].pointer == pools[1].pointer == 0
+
+    def test_planned_key_consumption_is_enough(self):
+        pools = make_pools(planned_key_consumption(100_000, 1000))
+        res = run_protocol2(SMALL, seed=4, alice_pool=pools[0], bob_pool=pools[1])
+        assert res.identified and res.consumed_alice == res.consumed_bob == 38_308
+        assert res.alice_pool.pointer == 38_308
+
+    def test_verdict_field_width_checked_at_entry(self):
+        # k travels in a 16-bit field of the verdict, and k <= 2s
+        pools = make_pools(60_000)
+        with pytest.raises(ValueError, match="16-bit"):
+            run_protocol2(replace(SMALL, s=32_768), seed=4,
+                          alice_pool=pools[0], bob_pool=pools[1])
+        assert pools[0].pointer == pools[1].pointer == 0
+        with pytest.raises(PoolExhausted):  # 2s = 65534 fits; the pools do not
+            run_protocol2(replace(SMALL, s=32_767), seed=4,
+                          alice_pool=pools[0], bob_pool=pools[1])
+
+    def test_pa_seed_bits_must_be_positive(self):
+        with pytest.raises(ValueError):
+            run_protocol2(SMALL, seed=4, pa_seed_bits=0)
 
     def test_pools_must_come_in_pairs(self):
         pool, _ = make_pools(60_000)
@@ -581,4 +616,19 @@ class TestAdversaries:
 
         res = run_protocol2(SMALL, seed=12, adversary=AdversaryScript(tamper=tamper))
         assert res.identified and res.refueled
+        assert_pools_mirrored(res)
+
+    @pytest.mark.parametrize("seed_len", [0, 64, 129])
+    def test_pa_seed_of_wrong_length_refuses_refuel(self, seed_len):
+        # the seed travels unauthenticated; an emptied seed must not leave
+        # both pools holding an uncompressed prefix of the sifted key
+        def tamper(msg):
+            if msg.kind is MsgKind.PA_SEED:
+                return WireMessage(msg.kind, BitString.zeros(seed_len))
+            return None
+
+        res = run_protocol2(SMALL, seed=12, adversary=AdversaryScript(tamper=tamper))
+        assert res.identified is True
+        assert res.refueled is False and res.distilled is None
+        assert res.refuel_reason == "pa-seed-structure"
         assert_pools_mirrored(res)
