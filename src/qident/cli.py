@@ -219,7 +219,7 @@ def cmd_protocol1(args, cfg) -> int:
         n_is=cfg.get("n_is", 50), eps=cfg.get("eps", 0.01)
     )
     impostor = cfg.get("impostor", "none")
-    counts = protocol1.run_trials(
+    counts = protocol1.run_sessions(
         params, args.trials, seed=args.seed,
         impostor=None if impostor == "none" else impostor,
     )

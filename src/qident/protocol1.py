@@ -47,6 +47,8 @@ __all__ = [
     "fabricated_triads",
     "run_protocol1",
     "run_trials",
+    "run_sessions",
+    "TRIAL_CHUNK",
     "eve_impersonation_trial",
     "eve_impersonation_frequency",
     "expected_success_probability",
@@ -254,6 +256,24 @@ def run_protocol1(
     return finish(IdentOutcome.SUCCESS)
 
 
+# Trials simulated per array step, so that a chunk's bits and one pass's
+# noise draws stay at about a megabyte whatever n_trials is.
+TRIAL_CHUNK = 2048
+
+# (sender, checker) of passes 1, 2 and 3; the checker compares what
+# arrived with its own copy of that part.
+_PASSES = (("alice", "bob"), ("bob", "alice"), ("alice", "bob"))
+
+
+def _check_run_args(n: int, impostor: str | None, channel_eps: float | None) -> None:
+    if n < 0:
+        raise ValueError("the number of sessions must be non-negative")
+    if impostor not in (None, "initiator", "responder"):
+        raise ValueError("impostor must be None, 'initiator' or 'responder'")
+    if channel_eps is not None and not 0.0 <= channel_eps <= 1.0:
+        raise ValueError("channel_eps must lie in [0, 1]")
+
+
 def run_trials(
     params: Protocol1Params,
     n_trials: int,
@@ -264,13 +284,57 @@ def run_trials(
     """Outcome counts over independent single-triad sessions.
 
     impostor replaces one side ("initiator" or "responder") with a
-    fabricating adversary holding no valid triads.
+    fabricating adversary holding no valid triads.  The sessions are
+    simulated bit by bit as arrays, TRIAL_CHUNK at a time: every triad
+    and fabricated part is drawn, and so is the channel noise of each
+    pass an honest party checks; each such pass's Hamming distance is
+    taken against the checker's own copy, and a session ends at the
+    first pass an honest checker rejects.  The counts follow the
+    same law as run_sessions, which plays each session through
+    run_protocol1, but not the same draws at a given seed.
     """
-    if impostor not in (None, "initiator", "responder"):
-        raise ValueError("impostor must be None, 'initiator' or 'responder'")
+    _check_run_args(n_trials, impostor, channel_eps)
+    rng = make_rng(seed)
+    eps = params.eps if channel_eps is None else channel_eps
+    shape = (3, params.n_is)
+    honest = {"alice": impostor != "initiator", "bob": impostor != "responder"}
+    tally = np.zeros(len(IdentOutcome), dtype=np.int64)
+    for done in range(0, n_trials, TRIAL_CHUNK):
+        m = min(TRIAL_CHUNK, n_trials - done)
+        shared = rng.integers(0, 2, size=(m, *shape), dtype=np.uint8)
+        fake = None if impostor is None else rng.integers(
+            0, 2, size=(m, *shape), dtype=np.uint8)
+        parts = {side: shared if ok else fake for side, ok in honest.items()}
+        rejected = np.zeros((m, 3), dtype=bool)
+        for i, (sender, checker) in enumerate(_PASSES):
+            if honest[checker]:  # an impostor accepts anything
+                flips = rng.random((m, params.n_is)) < eps
+                received = parts[sender][:, i] ^ flips
+                dist = np.count_nonzero(received != parts[checker][:, i], axis=1)
+                rejected[:, i] = dist > params.k
+        # outcome index: 0 for SUCCESS, else 1 + the first rejected pass
+        first = np.where(rejected.any(axis=1), rejected.argmax(axis=1) + 1, 0)
+        tally += np.bincount(first, minlength=len(IdentOutcome))
+    return {o: int(c) for o, c in zip(IdentOutcome, tally)}
+
+
+def run_sessions(
+    params: Protocol1Params,
+    n_sessions: int,
+    seed: int = 0,
+    impostor: str | None = None,
+    channel_eps: float | None = None,
+) -> dict[IdentOutcome, int]:
+    """Outcome counts of n_sessions played one at a time through
+    run_protocol1, each with fresh Party1States and one triad.
+
+    The per-session reference for run_trials, and what
+    ``qident protocol1`` runs.
+    """
+    _check_run_args(n_sessions, impostor, channel_eps)
     rng = make_rng(seed)
     counts = {o: 0 for o in IdentOutcome}
-    for _ in range(n_trials):
+    for _ in range(n_sessions):
         shared = make_shared_triads(1, params, rng)
         if impostor == "initiator":
             alice = Party1State(fabricated_triads(1, params, rng), Role.ALICE, honest=False)
@@ -311,22 +375,19 @@ def eve_impersonation_frequency(
     params: Protocol1Params,
     n_trials: int,
     rng: np.random.Generator | int = 0,
-    chunk: int = 100_000,
 ) -> float:
     """Vectorized success frequency of eve_impersonation_trial over
-    n_trials attempts."""
+    n_trials attempts, drawn TRIAL_CHUNK rows at a time."""
     rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
     probs = np.asarray(eve_bit_probs, dtype=float)
     if probs.ndim != 1 or probs.size != params.n_is:
         raise ValueError(f"need exactly {params.n_is} per-bit probabilities")
     k = params.k
     hits = 0
-    done = 0
-    while done < n_trials:
-        m = min(chunk, n_trials - done)
+    for done in range(0, n_trials, TRIAL_CHUNK):
+        m = min(TRIAL_CHUNK, n_trials - done)
         wrong_counts = (rng.random((m, params.n_is)) >= probs).sum(axis=1)
         hits += int((wrong_counts <= k).sum())
-        done += m
     return hits / n_trials
 
 

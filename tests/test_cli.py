@@ -4,9 +4,11 @@ Everything runs in-process through main(argv); stdout carries the CSV
 dataset, stderr the human diagnostics, and the exit code the verdict.
 """
 
+import hashlib
+
 import pytest
 
-from qident import auth
+from qident import auth, protocol1
 from qident.cli import (
     ParseError,
     RangeError,
@@ -136,6 +138,28 @@ class TestProtocol1Command:
         )
         assert code == 1
         assert "success,0" in out
+
+    def test_runs_each_session_through_run_protocol1(self, capsys, tmp_path,
+                                                     monkeypatch):
+        # the benchmark's traced run wraps protocol1.run_protocol1 and
+        # fails when no call reaches it; the CSV digest is the one its
+        # behaviour check holds
+        calls = []
+        real = protocol1.run_protocol1
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol1, "run_protocol1", counting)
+        out = tmp_path / "p1.csv"
+        code, _, _ = run_cli(capsys, "protocol1", "--seed", "4", "--trials", "30",
+                             "--out", str(out))
+        assert code == 0
+        assert len(calls) == 30
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c9a36afcd17b88e80e3fc614ffb16928279f74563a6c3076f35c1799f3ea05f8"
+        )
 
     def test_trials_must_be_positive(self, capsys):
         code, _, err = run_cli(capsys, "protocol1", "--trials", "0")

@@ -22,6 +22,7 @@ from qident.core import (
     random_bitstring,
 )
 from qident.protocol1 import (
+    TRIAL_CHUNK,
     IdentOutcome,
     Party1State,
     Protocol1Params,
@@ -34,6 +35,7 @@ from qident.protocol1 import (
     impostor_pass_probability,
     make_shared_triads,
     run_protocol1,
+    run_sessions,
     run_trials,
     triads_from_pool,
 )
@@ -43,6 +45,13 @@ PARAMS = Protocol1Params()  # n_is=50, eps=0.01, k=1
 
 def within_4_sigma(count, n, p):
     return abs(count - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p)) + 1e-9
+
+
+def same_rate(c1, n1, c2, n2):
+    """Two-sample check at four sigma of the pooled binomial spread."""
+    p = (c1 + c2) / (n1 + n2)
+    sigma = math.sqrt(p * (1.0 - p) * (1.0 / n1 + 1.0 / n2))
+    return abs(c1 / n1 - c2 / n2) <= 4.0 * sigma + 1e-12
 
 
 def fresh_pair(rng, n_triads=1, params=PARAMS):
@@ -181,6 +190,59 @@ class TestImpostor:
         assert res.outcome is IdentOutcome.ABORT_PASS1
 
 
+class TestBatchedLaw:
+    @pytest.mark.parametrize("channel_eps", [None, 0.05])
+    def test_every_outcome_matches_exact_oracle(self, channel_eps):
+        n = 40_000
+        counts = run_trials(PARAMS, n, seed=110, channel_eps=channel_eps)
+        eps = PARAMS.eps if channel_eps is None else channel_eps
+        ph = float(stats.binom.cdf(PARAMS.k, PARAMS.n_is, eps))
+        oracle = {
+            IdentOutcome.SUCCESS: ph**3,
+            IdentOutcome.ABORT_PASS1: 1.0 - ph,
+            IdentOutcome.ABORT_PASS2: ph * (1.0 - ph),
+            IdentOutcome.ABORT_PASS3: ph**2 * (1.0 - ph),
+        }
+        assert sum(counts.values()) == n
+        for outcome, p in oracle.items():
+            assert within_4_sigma(counts[outcome], n, p), outcome
+
+    @pytest.mark.parametrize("impostor", [None, "initiator", "responder"])
+    def test_agrees_with_per_session_reference(self, impostor):
+        # four bits at 30 % noise, tolerance two: a fabricated part
+        # passes a check with probability 11/16, so every outcome that
+        # the checker assignment allows occurs often
+        params = Protocol1Params(n_is=4, eps=0.3)
+        n_batch, n_ref = 40_000, 4_000
+        batched = run_trials(params, n_batch, seed=111, impostor=impostor)
+        reference = run_sessions(params, n_ref, seed=112, impostor=impostor)
+        for outcome in IdentOutcome:
+            assert same_rate(
+                batched[outcome], n_batch, reference[outcome], n_ref
+            ), outcome
+        if impostor == "responder":  # Bob checks nothing, Alice only pass 2
+            assert batched[IdentOutcome.ABORT_PASS1] == 0
+            assert batched[IdentOutcome.ABORT_PASS3] == 0
+        if impostor == "initiator":  # Alice checks nothing
+            assert batched[IdentOutcome.ABORT_PASS2] == 0
+
+    @pytest.mark.parametrize("impostor", [None, "initiator"])
+    def test_chunk_boundary_sizes_count_every_trial(self, impostor):
+        for n in (0, 1, TRIAL_CHUNK - 1, TRIAL_CHUNK, TRIAL_CHUNK + 1):
+            counts = run_trials(PARAMS, n, seed=113, impostor=impostor)
+            assert sum(counts.values()) == n
+            assert set(counts) == set(IdentOutcome)
+
+    @pytest.mark.parametrize("run", [run_trials, run_sessions])
+    def test_rejects_negative_count_and_bad_channel(self, run):
+        with pytest.raises(ValueError):
+            run(PARAMS, -5)
+        for eps in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                run(PARAMS, 10, channel_eps=eps)
+        assert sum(run(PARAMS, 10, channel_eps=1.0).values()) == 10
+
+
 class TestImpersonationMonteCarlo:
     def test_trial_shape_checks(self, rng):
         with pytest.raises(ValueError):
@@ -200,6 +262,13 @@ class TestImpersonationMonteCarlo:
         n = 200_000
         freq = eve_impersonation_frequency(probs, PARAMS, n, rng=106)
         assert within_4_sigma(freq * n, n, exact)
+
+    def test_frequency_stream_pinned(self):
+        # 134 hits, recorded when the function drew 100,000 rows at a
+        # time; rows are filled in order, so the chunk size is invisible
+        params = Protocol1Params(n_is=20, eps=0.01)
+        freq = eve_impersonation_frequency([0.6] * 20, params, 300_001, rng=88)
+        assert freq == 134 / 300_001
 
     def test_scalar_trial_agrees_with_vectorized(self):
         probs = [0.97] * 50
