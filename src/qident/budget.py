@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,10 @@ __all__ = [
     "DistilledTerms",
     "distilled_terms",
     "distilled_len",
+    "distilled_per_pulse",
     "optimize_intensity",
+    "NEVER",
+    "break_even_grid",
     "break_even_pulses",
 ]
 
@@ -344,19 +347,25 @@ class BudgetParams:
         )
 
 
-def min_initial_secret_bits(n_pulses: int, s: int, a: int) -> int:
+def min_initial_secret_bits(n_pulses, s: int, a: int):
     """Secret bits consumed by one session's three authenticated messages:
     2s*(strict_ceil(log2 N) + 2) + 32 + 3a.
 
     Each message costs key material roughly equal to its length plus one
     tag; the three payloads are 2s*strict_ceil(log2 N) position bits,
-    4s basis-and-value bits and a 32-bit verdict.
+    4s basis-and-value bits and a 32-bit verdict.  n_pulses may be an
+    integer array, and the result then has its shape.  strict_ceil(log2 N)
+    is the bit length of N, read exactly from its binary exponent.
     """
-    if n_pulses < 2:
+    n = np.asarray(n_pulses, dtype=np.int64)
+    if np.any(n < 2):
         raise ValueError("n_pulses must be at least 2")
     if s < 0 or a < 0:
         raise ValueError("s and a must be non-negative")
-    return 2 * s * (strict_ceil(math.log2(n_pulses)) + 2) + 32 + 3 * a
+    width = np.frexp(n.astype(float))[1].astype(np.int64)
+    width -= (n >> (width - 1)) == 0  # N rounded up to a power of two as a float
+    bits = 2 * s * (width + 2) + 32 + 3 * a
+    return int(bits) if bits.ndim == 0 else bits
 
 
 def expected_sifted_len(params: BudgetParams) -> float:
@@ -364,17 +373,17 @@ def expected_sifted_len(params: BudgetParams) -> float:
     return 0.5 * params.eta_overall * params.mu * params.n_pulses
 
 
-def corrected_len(n_sifted: float, eps: float) -> float:
+def corrected_len(n_sifted, eps: float):
     """Key bits left after error correction: (1 - 2.7 * eps**(2/3)) * N_S,
 
     an empirical fit for interactive parity-exchange reconciliation;
-    clamped at zero.
+    clamped at zero.  n_sifted may be an array.
     """
-    if n_sifted < 0.0:
+    if np.any(n_sifted < 0.0):
         raise ValueError("n_sifted must be non-negative")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
-    return max(0.0, (1.0 - 2.7 * eps ** (2.0 / 3.0)) * n_sifted)
+    return np.maximum(0.0, (1.0 - 2.7 * eps ** (2.0 / 3.0)) * n_sifted)
 
 
 @dataclass(frozen=True)
@@ -383,7 +392,7 @@ class DistilledTerms:
 
     total = max(0, corrected - beamsplit - probe_attack - five_sigma
                    - pa_compression); the raw (unclamped) sum is kept for
-    reporting.
+    reporting.  The terms are floats, or arrays that broadcast.
     """
 
     corrected: float
@@ -404,7 +413,40 @@ class DistilledTerms:
 
     @property
     def total(self) -> float:
-        return max(0.0, self.raw_total)
+        return np.maximum(0.0, self.raw_total)
+
+
+def _budget_terms(params: BudgetParams, mu, n) -> DistilledTerms:
+    """distilled_terms over intensities mu and pulse counts n, which
+    broadcast against each other; every other field comes from params.
+
+    Each expression keeps the operation order of expected_sifted_len and
+    of the one-point formula it replaced, so an array entry is the float
+    the one-point computation gives.  mu is squared as mu * mu, which is
+    correctly rounded.
+    """
+    eta = params.eta_overall
+    n_s = 0.5 * eta * mu * n
+    beam_frac = eta * (mu * mu) / (8.0 * params.eta_tl)
+    var = n * beam_frac * (1.0 - beam_frac) + (
+        2.0 * (LN2 + 1.0) * n_s * params.eps_max / LN2 ** 2
+    )
+    if np.any(var < 0.0):
+        raise ValueError("beamsplit fraction above one: negative variance")
+    return DistilledTerms(
+        corrected=corrected_len(n_s, params.eps),
+        beamsplit=beam_frac * n,
+        probe_attack=2.0 * params.eps_max * n_s / LN2,
+        five_sigma=5.0 * np.sqrt(var),
+        pa_compression=-math.log(params.delta * LN2) / LN2,
+    )
+
+
+def _intensities(mu_grid, top: float = math.inf) -> np.ndarray:
+    mu = np.asarray(mu_grid, dtype=float)
+    if mu.size == 0 or not (mu.min() > 0.0 and mu.max() <= top):
+        raise ValueError(f"mu grid must lie within (0, {top}]")
+    return mu
 
 
 def distilled_terms(params: BudgetParams) -> DistilledTerms:
@@ -422,32 +464,19 @@ def distilled_terms(params: BudgetParams) -> DistilledTerms:
             f"distilled-key formula assumes mu << 1, got mu={params.mu}",
             stacklevel=2,
         )
-    n = params.n_pulses
-    eta = params.eta_overall
-    n_s = expected_sifted_len(params)
-    n_c = corrected_len(n_s, params.eps)
-
-    beam_frac = eta * params.mu ** 2 / (8.0 * params.eta_tl)
-    beamsplit = beam_frac * n
-    probe = 2.0 * params.eps_max * n_s / LN2
-    var = n * beam_frac * (1.0 - beam_frac) + (
-        2.0 * (LN2 + 1.0) * n_s * params.eps_max / LN2 ** 2
-    )
-    five_sigma = 5.0 * math.sqrt(var)
-    pa_compression = -math.log(params.delta * LN2) / LN2
-
-    return DistilledTerms(
-        corrected=n_c,
-        beamsplit=beamsplit,
-        probe_attack=probe,
-        five_sigma=five_sigma,
-        pa_compression=pa_compression,
-    )
+    return _budget_terms(params, params.mu, params.n_pulses)
 
 
 def distilled_len(params: BudgetParams) -> float:
     """Distilled-key length (clamped at zero); see distilled_terms."""
-    return distilled_terms(params).total
+    return float(distilled_terms(params).total)
+
+
+def distilled_per_pulse(params: BudgetParams, mu_grid) -> np.ndarray:
+    """Distilled bits per pulse at each intensity of mu_grid, with
+    N = params.n_pulses; one array evaluation, no mu << 1 warning."""
+    mu = _intensities(mu_grid)
+    return _budget_terms(params, mu, params.n_pulses).total / params.n_pulses
 
 
 def default_mu_grid(step: float = 0.01, top: float = 1.5) -> np.ndarray:
@@ -460,22 +489,78 @@ def optimize_intensity(
     """Grid search for the pulse intensity maximizing distilled bits per
     pulse at the otherwise fixed operating point.
 
-    Returns (mu_star, best ratio); exact ties go to the smaller
-    intensity.  Raises AllZero when no candidate distils anything.
+    Returns (mu_star, best ratio); exact ties go to the earlier grid
+    entry, the smaller intensity on a sorted grid.  Raises AllZero when no
+    candidate distils anything.
     """
-    grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, float)
-    if grid.size == 0 or grid.min() <= 0.0 or grid.max() > 1.5:
-        raise ValueError("mu grid must lie within (0, 1.5]")
-    best_mu, best_ratio = None, 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for mu in grid:
-            ratio = distilled_len(replace(params, mu=float(mu))) / params.n_pulses
-            if ratio > best_ratio:  # strict: ties keep the earlier (smaller) mu
-                best_mu, best_ratio = float(mu), float(ratio)
-    if best_mu is None:
+    grid = default_mu_grid() if mu_grid is None else _intensities(mu_grid, 1.5)
+    rate = distilled_per_pulse(params, grid)
+    best = int(np.argmax(rate))  # the first maximum
+    if not rate[best] > 0.0:
         raise AllZero("distilled-key rate is zero over the whole mu grid")
-    return best_mu, best_ratio
+    return float(grid[best]), float(rate[best])
+
+
+# break_even_grid's entry where no N in the search range breaks even.
+NEVER = 0
+
+
+def break_even_grid(
+    params: BudgetParams,
+    mu_grid,
+    reoptimize_mu: bool = False,
+    n_lo: int = 2,
+    n_hi: int = 1_000_000_000,
+    rel_resolution: float = 1e-3,
+    consumption=min_initial_secret_bits,
+) -> np.ndarray:
+    """break_even_pulses at every intensity of mu_grid, with all the
+    brackets bisected at once.
+
+    Entry i is what break_even_pulses returns for params at
+    mu = mu_grid[i], or NEVER where it raises NeverBreaksEven.  Each
+    bracket [lo, hi] keeps ratio(lo) < 1 <= ratio(hi) and stops once
+    hi - lo <= max(1, int(rel_resolution * hi)).  With reoptimize_mu
+    each step evaluates the whole default mu grid at the live N values.
+    ``consumption`` is called with an int64 array of pulse counts; a
+    scalar return is broadcast.
+    """
+    mu = _intensities(mu_grid)
+    tuned = default_mu_grid()
+
+    def breaks_even(at: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """ratio(n) >= 1 for the brackets at intensities ``at``."""
+        if np.any(n < 2):
+            raise ValueError("n_pulses must be at least 2")
+        if reoptimize_mu:
+            rate = _budget_terms(params, tuned, n[:, None]).total / n[:, None]
+            best = rate.max(axis=1)
+            gained = best * n
+        else:
+            gained = _budget_terms(params, at, n).total
+        used = np.broadcast_to(consumption(n, params.s, params.a), n.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            even = np.where(used > 0, gained / used >= 1.0, gained >= 0.0)
+        # a re-tuned N where no intensity distils anything has ratio 0
+        return even & (best > 0.0) if reoptimize_mu else even
+
+    flat = mu.ravel()
+    out = np.full(flat.shape, NEVER, dtype=np.int64)
+    at_lo = breaks_even(flat, np.full(flat.shape, n_lo, dtype=np.int64))
+    out[at_lo] = n_lo
+    live = np.flatnonzero(~at_lo)
+    at_hi = breaks_even(flat[live], np.full(live.shape, n_hi, dtype=np.int64))
+    live = live[at_hi]  # the rest stay NEVER
+    lo, hi = (np.full(live.shape, v, dtype=np.int64) for v in (n_lo, n_hi))
+    while True:
+        done = hi - lo <= np.maximum(1, (rel_resolution * hi).astype(np.int64))
+        out[live[done]] = hi[done]
+        live, lo, hi = live[~done], lo[~done], hi[~done]
+        if live.size == 0:
+            return out.reshape(mu.shape)
+        mid = (lo + hi) // 2
+        up = breaks_even(flat[live], mid)
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
 
 
 def break_even_pulses(
@@ -489,39 +574,16 @@ def break_even_pulses(
     """Smallest pulse count whose session refuels at least as many secret
     bits as it consumes, found by bisection over N.
 
-    With reoptimize_mu the intensity is re-tuned at every candidate N.
-    ``consumption`` is injectable for testing; forcing it to zero makes
-    every N break even, so the search floor n_lo is returned.
+    Consumption is min_initial_secret_bits, the three messages' minimum,
+    not a session's planned_key_consumption.  With reoptimize_mu the
+    intensity is re-tuned at every candidate N.  ``consumption`` is
+    injectable for testing; forcing it to zero makes every N break even,
+    so the search floor n_lo is returned.  See break_even_grid.
     """
-
-    def ratio(n: int) -> float:
-        p = replace(params, n_pulses=n)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if reoptimize_mu:
-                try:
-                    _, rate = optimize_intensity(p)
-                except AllZero:
-                    return 0.0
-                gained = rate * n
-            else:
-                gained = distilled_len(p)
-        used = consumption(n, params.s, params.a)
-        if used <= 0:
-            return math.inf if gained >= 0.0 else 0.0
-        return gained / used
-
-    if ratio(n_lo) >= 1.0:
-        return n_lo
-    if ratio(n_hi) < 1.0:
+    n = break_even_grid(params, params.mu, reoptimize_mu, n_lo, n_hi,
+                        rel_resolution, consumption)
+    if n == NEVER:
         raise NeverBreaksEven(
             f"refuelled bits never reach consumption up to N={n_hi}"
         )
-    lo, hi = n_lo, n_hi  # ratio(lo) < 1 <= ratio(hi)
-    while hi - lo > max(1, int(rel_resolution * hi)):
-        mid = (lo + hi) // 2
-        if ratio(mid) >= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return int(n)

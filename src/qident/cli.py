@@ -350,34 +350,27 @@ def cmd_budget(args, cfg) -> int:
 
 
 def cmd_optimize_mu(args, cfg) -> int:
-    from dataclasses import replace
-
     params = _budget_params(cfg)
     mu_star, rate = budget.optimize_intensity(params)
 
-    def even(p, reopt: bool):
+    def even(reopt: bool):
         try:
-            return budget.break_even_pulses(p, reoptimize_mu=reopt)
+            return budget.break_even_pulses(params, reoptimize_mu=reopt)
         except budget.NeverBreaksEven:
             return None
 
-    fixed, opt = even(params, False), even(params, True)
+    fixed, opt = even(False), even(True)
     _say(f"best intensity mu* = {mu_star:.2f} "
          f"({rate:.6f} distilled bits per pulse at N={params.n_pulses})")
     _say(f"break-even pulses at mu={params.mu}: {fixed if fixed else 'never'}")
     _say(f"break-even pulses at re-tuned mu: {opt if opt else 'never'}")
 
     # rate and break-even size per intensity
-    import warnings
-
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for mu in budget.default_mu_grid():
-            p = replace(params, mu=float(mu))
-            r = budget.distilled_len(p) / p.n_pulses
-            be = even(p, False)
-            rows.append((round(float(mu), 2), r, be if be is not None else ""))
+    grid = budget.default_mu_grid()
+    rates = budget.distilled_per_pulse(params, grid)
+    evens = budget.break_even_grid(params, grid)
+    rows = [(round(float(mu), 2), r, "" if be == budget.NEVER else be)
+            for mu, r, be in zip(grid, rates, evens)]
     _emit(args, cfg, ["mu", "distilled_per_pulse", "break_even_pulses"], rows)
     return 0
 

@@ -270,3 +270,234 @@ class TestOptimization:
 
         assert net(n_star) >= 0
         assert net(int(n_star * 0.9)) < net(n_star)
+
+
+# -- one-point oracle ---------------------------------------------------
+# The scalar budget code the array functions replaced, kept verbatim:
+# one frozen BudgetParams per grid point and per bisection step.
+
+
+def oracle_min_initial_secret_bits(n_pulses, s, a):
+    return 2 * s * (math.floor(math.log2(n_pulses)) + 1 + 2) + 32 + 3 * a
+
+
+def oracle_terms(params):
+    n = params.n_pulses
+    eta = params.eta_overall
+    n_s = 0.5 * eta * params.mu * n
+    n_c = max(0.0, (1.0 - 2.7 * params.eps ** (2.0 / 3.0)) * n_s)
+    beam_frac = eta * params.mu ** 2 / (8.0 * params.eta_tl)
+    var = n * beam_frac * (1.0 - beam_frac) + (
+        2.0 * (budget.LN2 + 1.0) * n_s * params.eps_max / budget.LN2 ** 2
+    )
+    return (n_c, beam_frac * n, 2.0 * params.eps_max * n_s / budget.LN2,
+            5.0 * math.sqrt(var), -math.log(params.delta * budget.LN2) / budget.LN2)
+
+
+def oracle_distilled_len(params):
+    c, b, p, f, pa = oracle_terms(params)
+    return max(0.0, c - b - p - f - pa)
+
+
+def oracle_optimize_intensity(params, mu_grid=None):
+    grid = budget.default_mu_grid() if mu_grid is None else np.asarray(mu_grid, float)
+    if grid.size == 0 or grid.min() <= 0.0 or grid.max() > 1.5:
+        raise ValueError("mu grid must lie within (0, 1.5]")
+    best_mu, best_ratio = None, 0.0
+    for mu in grid:
+        ratio = oracle_distilled_len(replace(params, mu=float(mu))) / params.n_pulses
+        if ratio > best_ratio:
+            best_mu, best_ratio = float(mu), float(ratio)
+    if best_mu is None:
+        raise AllZero("distilled-key rate is zero over the whole mu grid")
+    return best_mu, best_ratio
+
+
+def oracle_break_even_pulses(params, reoptimize_mu=False, n_lo=2,
+                             n_hi=1_000_000_000, rel_resolution=1e-3,
+                             consumption=oracle_min_initial_secret_bits):
+    def ratio(n):
+        p = replace(params, n_pulses=n)
+        if reoptimize_mu:
+            try:
+                _, rate = oracle_optimize_intensity(p)
+            except AllZero:
+                return 0.0
+            gained = rate * n
+        else:
+            gained = oracle_distilled_len(p)
+        used = consumption(n, params.s, params.a)
+        if used <= 0:
+            return math.inf if gained >= 0.0 else 0.0
+        return gained / used
+
+    if ratio(n_lo) >= 1.0:
+        return n_lo
+    if ratio(n_hi) < 1.0:
+        raise NeverBreaksEven(f"never up to N={n_hi}")
+    lo, hi = n_lo, n_hi
+    while hi - lo > max(1, int(rel_resolution * hi)):
+        mid = (lo + hi) // 2
+        if ratio(mid) >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's value, or the type of the library exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, AllZero, NeverBreaksEven) as e:
+        return type(e)
+
+
+GRID_MU = [float(m) for m in budget.default_mu_grid()] + [0.8]
+
+
+@st.composite
+def budget_params(draw, mu=st.sampled_from(GRID_MU)):
+    delta = draw(st.floats(1e-12, 0.5))
+    return BudgetParams(
+        mu=draw(mu),
+        eta_tl=draw(st.floats(0.05, 1.0)),
+        eta_bob=draw(st.floats(0.2, 1.0)),
+        eta_det=draw(st.floats(0.2, 1.0)),
+        # mostly near the reference point, where sessions break even
+        eps=draw(st.floats(0.0, 0.02) | st.floats(0.0, 0.3)),
+        eps_max=draw(st.floats(0.0, 0.1) | st.floats(0.0, 0.3)),
+        delta=delta,
+        s=draw(st.integers(0, 3000)),
+        a=math.floor(math.log2(1.0 / delta)) + 1 + draw(st.integers(0, 5)),
+        n_pulses=draw(st.integers(2, 10**8)),
+        eta=draw(st.none() | st.floats(0.01, 1.0)),
+    )
+
+
+# consumption: the default, or an injected constant (called with arrays)
+CONSUMPTIONS = st.sampled_from([None, None, None, 0, 40_000])
+
+
+def consumption_pair(c):
+    if c is None:
+        return min_initial_secret_bits, oracle_min_initial_secret_bits
+    return (lambda *a: c), (lambda *a: c)
+
+
+SEARCH = st.fixed_dictionaries(dict(
+    n_lo=st.integers(2, 10**6),
+    n_hi=st.integers(10**6, 10**9) | st.integers(2, 10**6),
+    rel_resolution=st.floats(0.0, 0.05),
+))
+
+
+class TestArrayPathMatchesOracle:
+    def test_reference_numbers(self, reference_params):
+        assert optimize_intensity(reference_params) == (0.91, pytest.approx(0.0197, abs=1e-4))
+        assert break_even_pulses(reference_params) == 2_515_792
+        assert break_even_pulses(reference_params, reoptimize_mu=True) == 2_481_460
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget_params(), st.lists(st.sampled_from(GRID_MU), min_size=1, max_size=40))
+    def test_optimize_intensity(self, params, grid):
+        assert outcome(optimize_intensity, params, grid) == outcome(
+            oracle_optimize_intensity, params, grid)
+        assert outcome(optimize_intensity, params) == outcome(
+            oracle_optimize_intensity, params)
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget_params(), st.booleans(), CONSUMPTIONS, SEARCH)
+    def test_break_even_pulses(self, params, reopt, c, search):
+        lib_c, oracle_c = consumption_pair(c)
+        search = dict(search, reoptimize_mu=reopt)
+        assert outcome(break_even_pulses, params, consumption=lib_c, **search) == \
+            outcome(oracle_break_even_pulses, params, consumption=oracle_c, **search)
+
+    @settings(max_examples=80, deadline=None)
+    @given(budget_params(), st.lists(st.sampled_from(GRID_MU), min_size=1, max_size=12),
+           CONSUMPTIONS, SEARCH)
+    def test_break_even_grid(self, params, grid, c, search):
+        # one bracket per intensity, each as if searched on its own
+        lib_c, oracle_c = consumption_pair(c)
+        got = outcome(budget.break_even_grid, params, grid, consumption=lib_c, **search)
+        want = [outcome(oracle_break_even_pulses, replace(params, mu=m),
+                        consumption=oracle_c, **search) for m in grid]
+        if ValueError in want:
+            assert got is ValueError
+        else:
+            assert got.tolist() == [budget.NEVER if w is NeverBreaksEven else w
+                                    for w in want]
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget_params(), st.lists(st.sampled_from(GRID_MU), min_size=1, max_size=40))
+    def test_rates_on_grid_values_are_exact(self, params, grid):
+        want = [outcome(oracle_distilled_len, replace(params, mu=m)) for m in grid]
+        got = outcome(budget.distilled_per_pulse, params, grid)
+        if ValueError in want:
+            assert got is ValueError
+        else:
+            assert got.tolist() == [w / params.n_pulses for w in want]
+
+    @pytest.mark.filterwarnings("ignore:distilled-key formula assumes")
+    @settings(max_examples=150, deadline=None)
+    @given(budget_params(mu=st.floats(1e-6, 1.5)))
+    def test_off_grid_terms_within_a_few_ulp(self, params):
+        # mu * mu is correctly rounded and C pow(mu, 2) need not be; the
+        # 1-ulp difference in mu**2 reaches each term through <= 3 roundings
+        want = outcome(oracle_terms, params)
+        if want is ValueError:
+            assert outcome(distilled_terms, params) is ValueError
+            return
+        got = distilled_terms(params)
+        got_terms = (got.corrected, got.beamsplit, got.probe_attack,
+                     got.five_sigma, got.pa_compression)
+        for g, w in zip(got_terms, want):
+            assert abs(g - w) <= 4 * math.ulp(w)
+        assert abs(got.total - oracle_distilled_len(params)) <= 4 * 2.0 ** -52 * sum(want)
+
+    def test_grid_validated_once(self, reference_params):
+        for bad in ([], [0.0, 0.5], [0.5, 1.6], [-0.1]):
+            with pytest.raises(ValueError):
+                optimize_intensity(reference_params, mu_grid=bad)
+        with pytest.raises(ValueError):
+            budget.break_even_grid(reference_params, [0.5, 0.0])
+        with pytest.raises(ValueError):
+            break_even_pulses(reference_params, n_lo=1)
+
+    def test_injected_consumption_sees_arrays(self, reference_params):
+        seen = []
+
+        def consumption(n, s, a):
+            seen.append(np.shape(n))
+            return min_initial_secret_bits(n, s, a)
+
+        grid = [0.5, 0.8, 0.9]
+        got = budget.break_even_grid(reference_params, grid, consumption=consumption)
+        assert got.tolist() == [oracle_break_even_pulses(replace(reference_params, mu=m))
+                                for m in grid]
+        assert all(shape[0] <= len(grid) for shape in seen)
+
+
+class TestMinInitialSecretBitsArrays:
+    N = [2, 3, 1000, 6_250_000, 10**9] + [
+        n for k in range(2, 49) for n in (2**k - 1, 2**k, 2**k + 1)]
+
+    def test_array_equals_scalar_and_oracle(self):
+        got = min_initial_secret_bits(np.array(self.N, dtype=np.int64), 1000, 61)
+        assert got.dtype == np.int64 and got.shape == (len(self.N),)
+        assert got.tolist() == [min_initial_secret_bits(n, 1000, 61) for n in self.N]
+        assert got.tolist() == [oracle_min_initial_secret_bits(n, 1000, 61)
+                                for n in self.N]
+        assert isinstance(min_initial_secret_bits(6_250_000, 1000, 61), int)
+
+    def test_width_is_the_exact_bit_length(self):
+        # a rounded log2 overcounts just below 2**49 and up; the exponent
+        # does not, up to the int64 limit
+        n = [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]
+        got = min_initial_secret_bits(np.array(n, dtype=np.int64), 7, 3)
+        assert got.tolist() == [2 * 7 * (v.bit_length() + 2) + 32 + 9 for v in n]
+
+    def test_rejects_short_sessions_in_arrays(self):
+        with pytest.raises(ValueError):
+            min_initial_secret_bits(np.array([5, 1]), 1000, 61)

@@ -8,7 +8,7 @@ import hashlib
 
 import pytest
 
-from qident import auth, protocol1
+from qident import auth, budget, protocol1
 from qident.cli import (
     ParseError,
     RangeError,
@@ -247,6 +247,24 @@ class TestAnalysisCommands:
         assert "best intensity mu* = 0.91" in err
         assert lines[2].split(",")[0] == "0.01"
         assert lines[-1].split(",")[0] == "1.5"
+
+    def test_optimize_mu_csv_pinned(self, capsys, tmp_path, monkeypatch):
+        # the benchmark's traced run wraps budget.optimize_intensity and
+        # budget.break_even_pulses and fails when no call reaches them
+        calls = []
+        for name in ("optimize_intensity", "break_even_pulses"):
+            real = getattr(budget, name)
+            monkeypatch.setattr(budget, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        out = tmp_path / "mu.csv"
+        code, _, err = run_cli(capsys, "optimize-mu", "--seed", "9", "--out", str(out))
+        assert code == 0
+        assert sorted(calls) == ["break_even_pulses"] * 2 + ["optimize_intensity"]
+        assert "break-even pulses at mu=0.8: 2515792" in err
+        assert "break-even pulses at re-tuned mu: 2481460" in err
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "d91f1449dd2e01a56843daba0e6c6a4fa1552ab4334862d9f38dd4900978a4b3"
+        )
 
     def test_determinism_across_analysis_commands(self, capsys):
         for cmd in ("deception", "epslim", "budget", "optimize-mu"):
