@@ -337,7 +337,7 @@ def cmd_budget(args, cfg) -> int:
     _say(f"  five-sigma margin         {terms.five_sigma:.1f}")
     _say(f"  compression overhead      {terms.pa_compression:.1f}")
     _say(f"distilled key               {terms.total:.1f}")
-    _say(f"net per session (estimate)  {terms.total - b_min:.1f}")
+    _say(f"net per session (estimate)  {terms.total - planned:.1f}")
     _emit(args, cfg,
           ["n_pulses", "mu", "eta", "eps", "b_min", "planned", "sifted",
            "corrected", "beamsplit", "probe_attack", "five_sigma",
@@ -345,7 +345,7 @@ def cmd_budget(args, cfg) -> int:
           [(params.n_pulses, params.mu, params.eta_overall, params.eps, b_min,
             planned, budget.expected_sifted_len(params), terms.corrected,
             terms.beamsplit, terms.probe_attack, terms.five_sigma,
-            terms.pa_compression, terms.total, terms.total - b_min)])
+            terms.pa_compression, terms.total, terms.total - planned)])
     return 0
 
 

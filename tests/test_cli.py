@@ -236,7 +236,20 @@ class TestAnalysisCommands:
         assert row["b_min"] == "50215"
         assert row["planned"] == "50325"
         assert float(row["distilled"]) == pytest.approx(121265.6, abs=0.1)
+        # a session spends the planned keys, not the three messages' minimum
+        assert float(row["net"]) == float(row["distilled"]) - 50325
         assert "minimum initial secret" in err
+        assert f"net per session (estimate)  {float(row['net']):.1f}" in err
+
+    def test_budget_csv_pinned(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "n_pulses = 100000\n")
+        out = tmp_path / "budget.csv"
+        code, _, _ = run_cli(capsys, "budget", "--config", cfg, "--seed", "8",
+                             "--out", str(out))
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ba305e7ef5fcc3a9b1de19709ba0ad0fa41cf05a5f29fb5ad7a995b47e5e92ea"
+        )
 
     def test_optimize_mu_dataset(self, capsys):
         code, out, err = run_cli(capsys, "optimize-mu")
