@@ -204,6 +204,7 @@ def run_protocol1(
     triad is consumed on each side whatever the outcome.  channel_eps
     defaults to the design error rate in params.
     """
+    _check_channel_eps(channel_eps)
     rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
     eps = params.eps if channel_eps is None else channel_eps
     k = params.k
@@ -270,6 +271,10 @@ def _check_run_args(n: int, impostor: str | None, channel_eps: float | None) -> 
         raise ValueError("the number of sessions must be non-negative")
     if impostor not in (None, "initiator", "responder"):
         raise ValueError("impostor must be None, 'initiator' or 'responder'")
+    _check_channel_eps(channel_eps)
+
+
+def _check_channel_eps(channel_eps: float | None) -> None:
     if channel_eps is not None and not 0.0 <= channel_eps <= 1.0:
         raise ValueError("channel_eps must lie in [0, 1]")
 
@@ -382,6 +387,8 @@ def eve_impersonation_frequency(
     probs = np.asarray(eve_bit_probs, dtype=float)
     if probs.ndim != 1 or probs.size != params.n_is:
         raise ValueError(f"need exactly {params.n_is} per-bit probabilities")
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     k = params.k
     hits = 0
     for done in range(0, n_trials, TRIAL_CHUNK):

@@ -242,6 +242,14 @@ class TestBatchedLaw:
                 run(PARAMS, 10, channel_eps=eps)
         assert sum(run(PARAMS, 10, channel_eps=1.0).values()) == 10
 
+    def test_single_session_rejects_bad_channel(self, rng):
+        # a negative rate used to run a noiseless channel and succeed
+        alice, bob = fresh_pair(rng)
+        for eps in (-0.3, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                run_protocol1(alice, bob, PARAMS, rng, channel_eps=eps)
+        assert alice.pointer == bob.pointer == 0
+
 
 class TestImpersonationMonteCarlo:
     def test_trial_shape_checks(self, rng):
@@ -249,6 +257,11 @@ class TestImpersonationMonteCarlo:
             eve_impersonation_trial([0.6] * 49, PARAMS, rng)
         with pytest.raises(ValueError):
             eve_impersonation_trial([1.5] * 50, PARAMS, rng)
+
+    def test_frequency_needs_a_trial(self, rng):
+        for n in (0, -3):
+            with pytest.raises(ValueError):
+                eve_impersonation_frequency([0.6] * 50, PARAMS, n, rng)
 
     def test_certain_guess_always_passes(self, rng):
         assert eve_impersonation_trial([1.0] * 50, PARAMS, rng)
