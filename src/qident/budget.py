@@ -549,8 +549,9 @@ def break_even_grid(
     at_lo = breaks_even(flat, np.full(flat.shape, n_lo, dtype=np.int64))
     out[at_lo] = n_lo
     live = np.flatnonzero(~at_lo)
-    at_hi = breaks_even(flat[live], np.full(live.shape, n_hi, dtype=np.int64))
-    live = live[at_hi]  # the rest stay NEVER
+    if live.size:  # the rest stay NEVER
+        n_top = np.full(live.shape, n_hi, dtype=np.int64)
+        live = live[breaks_even(flat[live], n_top)]
     lo, hi = (np.full(live.shape, v, dtype=np.int64) for v in (n_lo, n_hi))
     while True:
         done = hi - lo <= np.maximum(1, (rel_resolution * hi).astype(np.int64))

@@ -456,6 +456,30 @@ class TestArrayPathMatchesOracle:
             assert abs(g - w) <= 4 * math.ulp(w)
         assert abs(got.total - oracle_distilled_len(params)) <= 4 * 2.0 ** -52 * sum(want)
 
+    def test_a_ratio_of_exactly_one_breaks_even(self, reference_params):
+        # consumption equal to the gain at every N: each ratio is 1.0
+        p = reference_params
+
+        def gain(n, s, a):
+            return oracle_distilled_len(replace(p, n_pulses=int(n)))
+
+        assert oracle_break_even_pulses(p, n_lo=10_000, consumption=gain) == 10_000
+        assert break_even_pulses(p, n_lo=10_000, consumption=np.vectorize(gain)) == 10_000
+
+    def test_retuned_rate_of_zero_never_breaks_even(self, reference_params):
+        # no intensity distils anything: ratio 0, even at zero consumption
+        dead = replace(reference_params, eps=0.3)
+        search = dict(reoptimize_mu=True, consumption=lambda *a: 0, n_hi=10**6)
+        for fn in (oracle_break_even_pulses, break_even_pulses):
+            with pytest.raises(NeverBreaksEven):
+                fn(dead, **search)
+
+    def test_exact_ties_go_to_the_earlier_entry(self, reference_params, monkeypatch):
+        # distinct intensities never tie on real rates, so flatten them
+        monkeypatch.setattr(budget, "distilled_per_pulse",
+                            lambda params, grid: np.ones(np.shape(grid)))
+        assert optimize_intensity(reference_params, [0.3, 0.2, 0.5]) == (0.3, 1.0)
+
     def test_grid_validated_once(self, reference_params):
         for bad in ([], [0.0, 0.5], [0.5, 1.6], [-0.1]):
             with pytest.raises(ValueError):
