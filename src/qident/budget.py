@@ -421,9 +421,9 @@ def _budget_terms(params: BudgetParams, mu, n) -> DistilledTerms:
     broadcast against each other; every other field comes from params.
 
     Each expression keeps the operation order of expected_sifted_len and
-    of the one-point formula it replaced, so an array entry is the float
-    the one-point computation gives.  mu is squared as mu * mu, which is
-    correctly rounded.
+    corrected_len, so an array entry is the float that evaluating one
+    (mu, N) point gives.  mu is squared as mu * mu, which is correctly
+    rounded; C pow(mu, 2) can be one ulp away off the 0.01 grid.
     """
     eta = params.eta_overall
     n_s = 0.5 * eta * mu * n
