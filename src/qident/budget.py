@@ -278,6 +278,9 @@ class BudgetParams:
     a: authentication tag length in bits; must satisfy
         a >= strict_ceil(log2(1/delta)).
     n_pulses: pulses per identification-plus-refuelling session.
+
+    The beamsplit fraction eta * mu**2 / (8 * eta_tl) must not exceed
+    one.  The channel simulation needs eps below 1/2 (see run_qkd).
     """
 
     mu: float
@@ -293,8 +296,8 @@ class BudgetParams:
     eta: float | None = None
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError("mu must be positive and finite")
         for name in ("eta_tl", "eta_bob", "eta_det"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
@@ -315,6 +318,11 @@ class BudgetParams:
         if self.a < min_a:
             raise ValueError(
                 f"tag length a={self.a} below strict_ceil(log2(1/delta))={min_a}"
+            )
+        if self.eta_overall * (self.mu * self.mu) / (8.0 * self.eta_tl) > 1.0:
+            raise ValueError(
+                f"beamsplit fraction eta*mu**2/(8*eta_tl) above one at "
+                f"mu={self.mu}, eta={self.eta_overall}, eta_tl={self.eta_tl}"
             )
 
     @property
@@ -431,8 +439,8 @@ def _budget_terms(params: BudgetParams, mu, n) -> DistilledTerms:
     var = n * beam_frac * (1.0 - beam_frac) + (
         2.0 * (LN2 + 1.0) * n_s * params.eps_max / LN2 ** 2
     )
-    if np.any(var < 0.0):
-        raise ValueError("beamsplit fraction above one: negative variance")
+    if np.any(beam_frac > 1.0):  # BudgetParams refuses this at its own mu
+        raise ValueError("beamsplit fraction eta*mu**2/(8*eta_tl) above one")
     return DistilledTerms(
         corrected=corrected_len(n_s, params.eps),
         beamsplit=beam_frac * n,

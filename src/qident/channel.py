@@ -1,10 +1,11 @@
 """Monte-Carlo model of the lossy quantum channel used for refuelling.
 
-One run sends n_pulses weak coherent pulses.  Alice draws a uniform bit
-and basis per pulse; Bob draws a basis and detects each pulse with
-probability 1 - exp(-eta * mu).  Detected pulses where the bases match
-form the sifted set; matched detections flip with the intrinsic error
-rate, mismatched detections yield a fair coin.  Everything is driven by
+One run sends n_pulses weak coherent pulses at the operating point of
+a BudgetParams.  Alice draws a uniform bit and basis per pulse; Bob
+draws a basis and detects each pulse with probability
+1 - exp(-eta * mu).  Detected pulses where the bases match form the
+sifted set; matched detections flip with the intrinsic error rate,
+mismatched detections yield a fair coin.  Everything is driven by
 independent child streams of one seed, and the draw layout is fixed so
 that passive eavesdropping leaves Bob's view bit-identical to a clean
 run at the same seed.
@@ -35,18 +36,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import BudgetParams, binary_entropy
-from .core import BitString, QidentError, make_rng, spawn_streams
+from .core import QidentError, make_rng, spawn_streams
 
 __all__ = [
     "UnsupportedStrategy",
     "EveStrategy",
     "EveParams",
-    "ChannelParams",
     "detection_probability",
     "expected_sifted_count",
     "QkdRun",
     "run_qkd",
-    "sift",
     "transcript_rows",
     "write_transcript_csv",
 ]
@@ -90,57 +89,12 @@ class EveParams:
             raise ValueError("tap_know_prob must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Physical parameters of one refuelling run."""
-
-    n_pulses: int
-    mu: float = 0.8
-    eta_tl: float = 0.63
-    eta_bob: float = 0.35
-    eta_det: float = 0.55
-    eps: float = 0.004
-    eta: float | None = None  # pinned overall efficiency; else the product
-
-    def __post_init__(self):
-        if self.n_pulses < 1:
-            raise ValueError("n_pulses must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        for name in ("eta_tl", "eta_bob", "eta_det"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        if not 0.0 <= self.eps < 0.5:
-            raise ValueError("eps must lie in [0, 0.5)")
-        if self.eta is not None and not 0.0 < self.eta <= 1.0:
-            raise ValueError("eta must lie in (0, 1]")
-
-    @property
-    def eta_overall(self) -> float:
-        if self.eta is not None:
-            return self.eta
-        return self.eta_tl * self.eta_bob * self.eta_det
-
-    @classmethod
-    def from_budget(cls, params: BudgetParams) -> "ChannelParams":
-        return cls(
-            n_pulses=int(params.n_pulses),
-            mu=params.mu,
-            eta_tl=params.eta_tl,
-            eta_bob=params.eta_bob,
-            eta_det=params.eta_det,
-            eps=params.eps,
-            eta=params.eta,
-        )
-
-
-def detection_probability(params: ChannelParams) -> float:
+def detection_probability(params: BudgetParams) -> float:
     """Poissonian click probability 1 - exp(-eta * mu)."""
     return -math.expm1(-params.eta_overall * params.mu)
 
 
-def expected_sifted_count(params: ChannelParams) -> float:
+def expected_sifted_count(params: BudgetParams) -> float:
     """Half the expected detections survive basis sifting."""
     return 0.5 * params.n_pulses * detection_probability(params)
 
@@ -154,7 +108,7 @@ class QkdRun:
 
     def __init__(
         self,
-        params: ChannelParams,
+        params: BudgetParams,
         eve: EveParams,
         alice_bits: np.ndarray,
         alice_bases: np.ndarray,
@@ -180,14 +134,6 @@ class QkdRun:
     @property
     def n_sifted(self) -> int:
         return int(self.sifted_idx.size)
-
-    @property
-    def alice_sifted(self) -> BitString:
-        return BitString(self.alice_bits[self.sifted_idx])
-
-    @property
-    def bob_sifted(self) -> BitString:
-        return BitString(self.bob_bits[self.sifted_idx])
 
     @property
     def error_count(self) -> int:
@@ -228,7 +174,7 @@ class QkdRun:
         )
 
 
-def beamsplit_know_prob(params: ChannelParams, eve: EveParams) -> float:
+def beamsplit_know_prob(params: BudgetParams, eve: EveParams) -> float:
     """Per-pulse probability that a passive tap learns the bit."""
     if eve.tap_know_prob is not None:
         return eve.tap_know_prob
@@ -236,17 +182,23 @@ def beamsplit_know_prob(params: ChannelParams, eve: EveParams) -> float:
 
 
 def run_qkd(
-    params: ChannelParams,
+    params: BudgetParams,
     seed: int | np.random.Generator = 0,
     eve: EveParams = EveParams(),
 ) -> QkdRun:
-    """Simulate one run.
+    """Simulate one run of params.n_pulses pulses.
 
     Alice, Bob and Eve each get their own child stream with a fixed
     draw layout, so Bob's arrays for a given seed are identical under
     NONE, BEAMSPLIT and PER_BIT_GUESS, and identification-side results
     never depend on whether a passive adversary was modelled.
+
+    The intrinsic error rate params.eps must lie below 1/2, where a
+    channel still carries information; BudgetParams itself admits
+    [0, 1) for the closed-form analysis.
     """
+    if params.eps >= 0.5:
+        raise ValueError(f"channel error rate eps={params.eps} must lie below 1/2")
     n = params.n_pulses
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     rng_alice, rng_bob, rng_eve = spawn_streams(rng, 3)
@@ -294,19 +246,6 @@ def run_qkd(
         bob_bits=bob_bits,
         eve_known=eve_known,
     )
-
-
-def sift(run: QkdRun, exclude=None) -> tuple[np.ndarray, BitString, BitString]:
-    """Matched-basis detected positions and both parties' bits there.
-
-    exclude drops the given pulse positions (e.g. the error-estimation
-    sample) from the result.
-    """
-    idx = run.sifted_idx
-    if exclude is not None:
-        exclude = np.asarray(exclude, dtype=np.int64)
-        idx = idx[~np.isin(idx, exclude)]
-    return idx, BitString(run.alice_bits[idx]), BitString(run.bob_bits[idx])
 
 
 def transcript_rows(run: QkdRun):

@@ -33,23 +33,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import auth, budget, estimation, protocol1, protocol2
 from .budget import BudgetParams
-from .channel import (
-    ChannelParams,
-    EveParams,
-    EveStrategy,
-    run_qkd,
-    write_transcript_csv,
-)
+from .channel import EveParams, EveStrategy, run_qkd, write_transcript_csv
 from .core import BitString, QidentError, make_rng
 from .protocol1 import IdentOutcome
 
-__all__ = ["main", "ConfigError", "ParseError", "RangeError",
-           "load_config", "serialize_config"]
+__all__ = ["main", "ConfigError", "ParseError", "RangeError", "load_config"]
 
 
 class ConfigError(QidentError):
@@ -120,13 +114,6 @@ def parse_config(text: str) -> dict:
     return cfg
 
 
-def serialize_config(cfg: dict) -> str:
-    """Canonical text form; parse_config inverts it exactly."""
-    for key, val in cfg.items():
-        _coerce(key, _fmt(val), f"key '{key}'")
-    return "".join(f"{k} = {_fmt(cfg[k])}\n" for k in sorted(cfg))
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -138,17 +125,11 @@ def load_config(path: str | None) -> dict:
     return parse_config(text)
 
 
-_BUDGET_KEYS = (
-    "mu", "eta_tl", "eta_bob", "eta_det", "eps", "eps_max",
-    "delta", "s", "a", "n_pulses", "eta",
-)
-
-
 def _budget_params(cfg: dict) -> BudgetParams:
-    base = BudgetParams.reference()
-    kwargs = {k: cfg.get(k, getattr(base, k)) for k in _BUDGET_KEYS}
+    """The reference operating point with the config's fields applied."""
+    given = {f.name: cfg[f.name] for f in fields(BudgetParams) if f.name in cfg}
     try:
-        return BudgetParams(**kwargs)
+        return replace(BudgetParams.reference(), **given)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -191,7 +172,7 @@ def _emit(args, cfg, header, rows) -> None:
 
 
 def cmd_simulate_qkd(args, cfg) -> int:
-    params = ChannelParams.from_budget(_budget_params(cfg))
+    params = _budget_params(cfg)
     eve = _eve_params(cfg)
     if args.dump and args.trials != 1:
         raise ConfigError("--dump records a single run; use --trials 1")

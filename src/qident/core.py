@@ -20,8 +20,6 @@ __all__ = [
     "QidentError",
     "PoolExhausted",
     "LengthMismatch",
-    "RECT",
-    "DIAG",
     "BitString",
     "Triad",
     "SecretPool",
@@ -45,11 +43,6 @@ class PoolExhausted(QidentError):
 
 class LengthMismatch(QidentError):
     """Two bit strings that must have equal length do not."""
-
-
-# Polarization basis labels; a basis sequence stores them as bits.
-RECT = 0
-DIAG = 1
 
 
 def strict_ceil(x: float) -> int:

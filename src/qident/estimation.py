@@ -17,7 +17,6 @@ two routes together to 1e-9 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import integrate, special
 
@@ -26,9 +25,7 @@ from .core import QidentError
 __all__ = [
     "NoSolution",
     "NumericalFailure",
-    "EstimationParams",
     "likelihood",
-    "estimate_from_subset",
     "posterior_tail",
     "posterior_tail_quadrature",
     "solve_eps_limit",
@@ -43,31 +40,6 @@ class NoSolution(QidentError):
 
 class NumericalFailure(QidentError):
     """Quadrature failed to reach the demanded relative accuracy."""
-
-
-@dataclass(frozen=True)
-class EstimationParams:
-    """Sample size and acceptance budget for one error estimate."""
-
-    s: int = 1000
-    eps_max: float = 0.07
-    delta: float = 1e-10
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ValueError("s must be positive")
-        if not 0.0 < self.eps_max < 1.0:
-            raise ValueError("eps_max must lie in (0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1)")
-
-    @property
-    def two_s(self) -> int:
-        """Sample plus key positions requested from the sifted string."""
-        return 2 * self.s
-
-    def eps_limit(self, resolution: float = 1e-5) -> float:
-        return solve_eps_limit(self.s, self.delta, self.eps_max, resolution)
 
 
 def likelihood(k: int, s: int, eps: float) -> float:
@@ -86,13 +58,6 @@ def likelihood(k: int, s: int, eps: float) -> float:
         math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1)
     )
     return math.exp(log_choose + k * math.log(eps) + (s - k) * math.log1p(-eps))
-
-
-def estimate_from_subset(alice_bits, bob_bits) -> tuple[int, float]:
-    """Mismatch count and point estimate from the two disclosed sample
-    strings.  Raises LengthMismatch if the strings differ in length."""
-    k = alice_bits.hamming(bob_bits)
-    return k, k / len(alice_bits)
 
 
 def posterior_tail(s: float, eps_est: float, eps_max: float) -> float:

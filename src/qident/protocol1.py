@@ -27,7 +27,6 @@ from scipy import stats
 from .core import (
     BitString,
     PoolExhausted,
-    SecretPool,
     Triad,
     make_rng,
     pointer_sync,
@@ -43,7 +42,6 @@ __all__ = [
     "Protocol1Result",
     "compare_with_tolerance",
     "make_shared_triads",
-    "triads_from_pool",
     "fabricated_triads",
     "run_protocol1",
     "run_trials",
@@ -142,22 +140,6 @@ def make_shared_triads(
         )
         for _ in range(n_triads)
     ]
-
-
-def triads_from_pool(
-    pool: SecretPool, n_triads: int, params: Protocol1Params
-) -> list[Triad]:
-    """Carve triads out of a shared secret pool (3 * n_is bits each)."""
-    out = []
-    for _ in range(n_triads):
-        out.append(
-            Triad(
-                pool.consume(params.n_is),
-                pool.consume(params.n_is),
-                pool.consume(params.n_is),
-            )
-        )
-    return out
 
 
 def fabricated_triads(

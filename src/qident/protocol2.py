@@ -58,7 +58,7 @@ from .budget import (
     distilled_len,
     expected_sifted_len,
 )
-from .channel import ChannelParams, EveParams, EveStrategy, QkdRun, run_qkd
+from .channel import EveParams, EveStrategy, run_qkd
 from .core import (
     BitString,
     PoolExhausted,
@@ -600,23 +600,26 @@ def sifting_mitm_script(seed: int = 0) -> AdversaryScript:
 
 @dataclass
 class Protocol2Result:
-    identified: bool
-    aborted_at: str | None
-    refueled: bool
-    refuel_reason: str | None
-    s_real: int
-    k: int
-    eps_est: float | None
-    verdict_accept: bool
-    alice_recheck: bool
-    n_sifted: int
-    n_key: int
-    leak: int
-    out_len: int
-    consumed_alice: int
-    consumed_bob: int
+    """One session's outcome; a field the session never reached keeps
+    its default."""
+
     alice_pool: SecretPool = field(repr=False)
     bob_pool: SecretPool = field(repr=False)
+    identified: bool = False
+    aborted_at: str | None = None
+    refueled: bool = False
+    refuel_reason: str | None = None
+    s_real: int = 0
+    k: int = 0
+    eps_est: float | None = None
+    verdict_accept: bool = False
+    alice_recheck: bool = False
+    n_sifted: int = 0
+    n_key: int = 0
+    leak: int = 0
+    out_len: int = 0
+    consumed_alice: int = 0
+    consumed_bob: int = 0
     distilled: BitString | None = field(repr=False, default=None)
     transcript: list[WireMessage] = field(repr=False, default_factory=list)
 
@@ -696,51 +699,19 @@ def run_protocol2(
             f"unused bits, the session floor is {floor}"
         )
 
-    run: QkdRun = run_qkd(ChannelParams.from_budget(params), qkd_rng, eve)
-    transcript: list[WireMessage] = []
-
-    state = {
-        "identified": False,
-        "aborted_at": None,
-        "refueled": False,
-        "refuel_reason": None,
-        "s_real": 0,
-        "k": 0,
-        "eps_est": None,
-        "verdict_accept": False,
-        "alice_recheck": False,
-        "n_key": 0,
-        "leak": 0,
-        "out_len": 0,
-        "distilled": None,
-    }
+    run = run_qkd(params, qkd_rng, eve)
+    res = Protocol2Result(alice_pool, bob_pool, n_sifted=run.n_sifted)
+    transcript = res.transcript
     consumed_start = alice_pool.pointer
 
-    def finish() -> Protocol2Result:
-        return Protocol2Result(
-            identified=state["identified"],
-            aborted_at=state["aborted_at"],
-            refueled=state["refueled"],
-            refuel_reason=state["refuel_reason"],
-            s_real=state["s_real"],
-            k=state["k"],
-            eps_est=state["eps_est"],
-            verdict_accept=state["verdict_accept"],
-            alice_recheck=state["alice_recheck"],
-            n_sifted=run.n_sifted,
-            n_key=state["n_key"],
-            leak=state["leak"],
-            out_len=state["out_len"],
-            consumed_alice=alice_pool.pointer - consumed_start,
-            consumed_bob=bob_pool.pointer - consumed_start,
-            alice_pool=alice_pool,
-            bob_pool=bob_pool,
-            distilled=state["distilled"],
-            transcript=transcript,
-        )
+    def finish(refuel_reason: str | None = None) -> Protocol2Result:
+        res.refuel_reason = refuel_reason
+        res.consumed_alice = alice_pool.pointer - consumed_start
+        res.consumed_bob = bob_pool.pointer - consumed_start
+        return res
 
     def abort(where: str) -> Protocol2Result:
-        state["aborted_at"] = where
+        res.aborted_at = where
         transcript.append(WireMessage(MsgKind.ABORT, BitString.zeros(0)))
         return finish()
 
@@ -790,15 +761,15 @@ def run_protocol2(
     matched = run.bob_bases[sample] == a_bases
     s_real = int(matched.sum())
     k = int((run.bob_bits[sample][matched] != a_bits[matched]).sum())
-    state["s_real"], state["k"] = s_real, k
+    res.s_real, res.k = s_real, k
     accept = False
     if s_real > 0:
-        state["eps_est"] = k / s_real
+        res.eps_est = k / s_real
         try:
             accept = k / s_real <= solve_eps_limit(s_real, params.delta, params.eps_max)
         except NoSolution:
             accept = False
-    state["verdict_accept"] = accept
+    res.verdict_accept = accept
 
     # B -> A: verdict
     key_a, key_b = draw_keys(MsgKind.FINAL_VERDICT)
@@ -816,10 +787,9 @@ def run_protocol2(
         return abort("verdict-structure")
 
     # every authentication key verified: the peers are identified
-    state["identified"] = True
+    res.identified = True
     if not (accept and accept_at_alice):
-        state["refuel_reason"] = "verdict-reject"
-        return finish()
+        return finish("verdict-reject")
 
     # B -> A: all detected positions and bases (plumbing, unauthenticated)
     msg = _send(
@@ -832,8 +802,7 @@ def run_protocol2(
     try:
         ann_pos, ann_bases = _parse_announce(msg.payload, w, n)
     except WireFormatError:
-        state["refuel_reason"] = "announce-structure"
-        return finish()
+        return finish("announce-structure")
 
     # A re-applies the acceptance test with her own view of s_real
     in_sample = np.isin(ann_pos, sample_at_alice)
@@ -848,10 +817,9 @@ def run_protocol2(
             )
         except NoSolution:
             recheck = False
-    state["alice_recheck"] = recheck
+    res.alice_recheck = recheck
     if not recheck:
-        state["refuel_reason"] = "alice-recheck"
-        return finish()
+        return finish("alice-recheck")
 
     # A -> B: coincidence mask over the announced list
     msg = _send(
@@ -861,43 +829,36 @@ def run_protocol2(
     )
     mask_at_bob = msg.payload.bits.astype(bool)
     if mask_at_bob.size != det_idx.size:
-        state["refuel_reason"] = "coincidence-structure"
-        return finish()
+        return finish("coincidence-structure")
 
     # the refuelling key: basis-matched positions outside the disclosed sample
     alice_key_pos = ann_pos[alice_matched & ~in_sample]
     bob_key_pos = det_idx[mask_at_bob & ~np.isin(det_idx, sample)]
     alice_key = run.alice_bits[alice_key_pos]
     bob_key = run.bob_bits[bob_key_pos]
-    state["n_key"] = int(alice_key.size)
+    res.n_key = int(alice_key.size)
     if alice_key.size != bob_key.size or alice_key.size == 0:
-        state["refuel_reason"] = "no-key-bits"
-        return finish()
+        return finish("no-key-bits")
 
-    eps_est = state["eps_est"]
     # With under EC_MIN_MISMATCHES mismatches the sample can put the rate
     # at half the truth or less.  Phase 1 then leaves errors in pairs, and
     # phase 2 repairs them one full-length subset at a time, up to its
     # cap.  Once the key holds more errors at the floor rate than that
     # cap, phase 1 starts from the floor rate instead.
-    hint = max(eps_est, 1e-4)
+    hint = max(res.eps_est, 1e-4)
     if k < EC_MIN_MISMATCHES and alice_key.size * EC_MIN_MISMATCHES > EC_MAX_FIXUPS * s_real:
         hint = EC_MIN_MISMATCHES / s_real
     try:
         _, bob_corrected, leak = error_correct(alice_key, bob_key, hint, proto_rng)
     except NonConvergence:
-        state["refuel_reason"] = "ec-nonconvergence"
-        return finish()
-    state["leak"] = leak
+        return finish("ec-nonconvergence")
+    res.leak = leak
 
-    out_len = compute_out_len(params, eps_est, leak)
-    state["out_len"] = out_len
+    out_len = res.out_len = compute_out_len(params, res.eps_est, leak)
     if out_len <= 0:
-        state["refuel_reason"] = "budget-nonpositive"
-        return finish()
+        return finish("budget-nonpositive")
     if out_len > alice_key.size - leak:
-        state["refuel_reason"] = "budget-exceeds-available"
-        return finish()
+        return finish("budget-exceeds-available")
 
     # A -> B: compression seed
     msg = _send(
@@ -906,16 +867,14 @@ def run_protocol2(
         transcript,
     )
     if len(msg.payload) != pa_seed_bits:
-        state["refuel_reason"] = "pa-seed-structure"
-        return finish()
+        return finish("pa-seed-structure")
     alice_new = privacy_amplify(BitString(alice_key), out_len, msg.payload)
     bob_new = privacy_amplify(BitString(bob_corrected), out_len, msg.payload)
     if alice_new != bob_new:
-        state["refuel_reason"] = "key-mismatch"
-        return finish()
+        return finish("key-mismatch")
 
     alice_pool.refuel(alice_new)
     bob_pool.refuel(bob_new)
-    state["refueled"] = True
-    state["distilled"] = alice_new
+    res.refueled = True
+    res.distilled = alice_new
     return finish()

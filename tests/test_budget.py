@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qident import budget
@@ -220,6 +220,28 @@ class TestBudgetFormulas:
                 n_pulses=1000,
             )
 
+    def test_params_validate_estimation_fields(self, reference_params):
+        # s, eps_max and delta size the Bayesian acceptance test
+        for bad in (dict(s=-1), dict(eps_max=1.5), dict(delta=0.0)):
+            with pytest.raises(ValueError):
+                replace(reference_params, **bad)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_params_reject_non_finite_mu(self, reference_params, mu):
+        with pytest.raises(ValueError, match="mu must be positive and finite"):
+            replace(reference_params, mu=mu)
+
+    def test_params_reject_beamsplit_fraction_above_one(self, reference_params):
+        # eta * mu**2 / (8 * eta_tl) = 2.5: no such share of pulses exists
+        with pytest.raises(ValueError, match=r"mu=1\.0, eta=1\.0, eta_tl=0\.05"):
+            replace(reference_params, eta=1.0, eta_tl=0.05, mu=1.0)
+        # the same fraction from the product of the three factors
+        with pytest.raises(ValueError, match="beamsplit fraction"):
+            replace(reference_params, eta=None, eta_tl=0.05, eta_bob=1.0,
+                    eta_det=1.0, mu=3.0)
+        edge = replace(reference_params, eta=1.0, eta_tl=0.125, mu=1.0)  # exactly one
+        assert distilled_terms(edge).beamsplit == edge.n_pulses
+
     def test_mu_warning(self, reference_params):
         with pytest.warns(UserWarning):
             distilled_len(replace(reference_params, mu=1.2))
@@ -346,7 +368,9 @@ def oracle_break_even_pulses(params, reoptimize_mu=False, n_lo=2,
 
 
 def outcome(fn, *args, **kwargs):
-    """A call's value, or the type of the library exception it raised."""
+    """A call's value, or the type of the library exception it raised.
+    An intensity whose beamsplit fraction exceeds one raises ValueError
+    in the oracle's replace() and in the array path alike."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, AllZero, NeverBreaksEven) as e:
@@ -359,7 +383,7 @@ GRID_MU = [float(m) for m in budget.default_mu_grid()] + [0.8]
 @st.composite
 def budget_params(draw, mu=st.sampled_from(GRID_MU)):
     delta = draw(st.floats(1e-12, 0.5))
-    return BudgetParams(
+    fields = dict(
         mu=draw(mu),
         eta_tl=draw(st.floats(0.05, 1.0)),
         eta_bob=draw(st.floats(0.2, 1.0)),
@@ -373,6 +397,10 @@ def budget_params(draw, mu=st.sampled_from(GRID_MU)):
         n_pulses=draw(st.integers(2, 10**8)),
         eta=draw(st.none() | st.floats(0.01, 1.0)),
     )
+    # only points that can be built: a beamsplit fraction of at most one
+    eta = fields["eta"] or fields["eta_tl"] * fields["eta_bob"] * fields["eta_det"]
+    assume(eta * (fields["mu"] * fields["mu"]) / (8.0 * fields["eta_tl"]) <= 1.0)
+    return BudgetParams(**fields)
 
 
 # consumption: the default, or an injected constant (called with arrays)
@@ -421,8 +449,9 @@ class TestArrayPathMatchesOracle:
         # one bracket per intensity, each as if searched on its own
         lib_c, oracle_c = consumption_pair(c)
         got = outcome(budget.break_even_grid, params, grid, consumption=lib_c, **search)
-        want = [outcome(oracle_break_even_pulses, replace(params, mu=m),
-                        consumption=oracle_c, **search) for m in grid]
+        want = [outcome(lambda m: oracle_break_even_pulses(
+                    replace(params, mu=m), consumption=oracle_c, **search), m)
+                for m in grid]
         if ValueError in want:
             assert got is ValueError
         else:
@@ -432,7 +461,8 @@ class TestArrayPathMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(budget_params(), st.lists(st.sampled_from(GRID_MU), min_size=1, max_size=40))
     def test_rates_on_grid_values_are_exact(self, params, grid):
-        want = [outcome(oracle_distilled_len, replace(params, mu=m)) for m in grid]
+        want = [outcome(lambda m: oracle_distilled_len(replace(params, mu=m)), m)
+                for m in grid]
         got = outcome(budget.distilled_per_pulse, params, grid)
         if ValueError in want:
             assert got is ValueError

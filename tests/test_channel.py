@@ -7,13 +7,13 @@ leaving the honest view untouched, draw-layout determinism) are exact.
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qident.budget import BudgetParams, binary_entropy
 from qident.channel import (
-    ChannelParams,
     EveParams,
     EveStrategy,
     UnsupportedStrategy,
@@ -21,13 +21,12 @@ from qident.channel import (
     detection_probability,
     expected_sifted_count,
     run_qkd,
-    sift,
     transcript_rows,
     write_transcript_csv,
 )
 
 N = 100_000
-PARAMS = ChannelParams(n_pulses=N)
+PARAMS = replace(BudgetParams.reference(), n_pulses=N, eta=None)
 
 
 def within_4_sigma(count, n, p):
@@ -42,14 +41,14 @@ class TestParams:
         assert 0.0 < p < 1.0
 
     def test_pinned_eta_wins(self):
-        pinned = ChannelParams(n_pulses=10, eta=0.12)
+        pinned = replace(PARAMS, n_pulses=10, eta=0.12)
         assert pinned.eta_overall == 0.12
+        assert detection_probability(pinned) == -math.expm1(-0.12 * 0.8)
 
-    def test_from_budget_carries_pinned_eta(self):
-        ch = ChannelParams.from_budget(BudgetParams.reference())
-        assert ch.eta_overall == 0.12
-        assert ch.n_pulses == 6_250_000
-        assert ch.mu == 0.8
+    def test_reference_point_detects_at_pinned_eta(self):
+        ref = BudgetParams.reference()
+        assert detection_probability(ref) == -math.expm1(-0.12 * 0.8)
+        assert expected_sifted_count(ref) == 0.5 * 6_250_000 * detection_probability(ref)
 
     def test_expected_sifted_count(self):
         assert expected_sifted_count(PARAMS) == pytest.approx(
@@ -58,13 +57,17 @@ class TestParams:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ChannelParams(n_pulses=0)
+            replace(PARAMS, n_pulses=0)
         with pytest.raises(ValueError):
-            ChannelParams(n_pulses=10, mu=0.0)
+            replace(PARAMS, mu=0.0)
         with pytest.raises(ValueError):
-            ChannelParams(n_pulses=10, eta_tl=1.5)
-        with pytest.raises(ValueError):
-            ChannelParams(n_pulses=10, eps=0.5)
+            replace(PARAMS, eta_tl=1.5)
+
+    @pytest.mark.parametrize("eps", [0.5, 0.75])
+    def test_run_rejects_eps_of_one_half_and_above(self, eps):
+        params = replace(PARAMS, n_pulses=10, eps=eps)  # valid for the budget
+        with pytest.raises(ValueError, match="below 1/2"):
+            run_qkd(params, seed=1)
 
     def test_eve_validation(self):
         with pytest.raises(ValueError):
@@ -103,8 +106,11 @@ class TestHonestRun:
 
     def test_sifted_views_align(self):
         run = run_qkd(PARAMS, seed=4)
-        assert len(run.alice_sifted) == len(run.bob_sifted) == run.n_sifted
-        assert run.alice_sifted.hamming(run.bob_sifted) == run.error_count
+        matched = run.bob_detected & (run.alice_bases == run.bob_bases)
+        assert np.array_equal(run.sifted_idx, np.flatnonzero(matched))
+        assert run.n_sifted == int(matched.sum())
+        errors = run.alice_bits[matched] != run.bob_bits[matched]
+        assert run.error_count == int(errors.sum())
 
 
 class TestInterceptResend:
@@ -127,7 +133,7 @@ class TestInterceptResend:
 
     def test_no_information_figure(self):
         eve = EveParams(strategy=EveStrategy.INTERCEPT_RESEND)
-        run = run_qkd(ChannelParams(n_pulses=1000), seed=15, eve=eve)
+        run = run_qkd(replace(PARAMS, n_pulses=1000), seed=15, eve=eve)
         with pytest.raises(UnsupportedStrategy):
             run.eve_information_bits()
 
@@ -167,7 +173,7 @@ class TestPassiveAdversaries:
 
     def test_beamsplit_probability_saturates(self):
         eve = EveParams(strategy=EveStrategy.BEAMSPLIT)
-        leaky = ChannelParams(n_pulses=10, eta_tl=0.01)
+        leaky = replace(PARAMS, n_pulses=10, eta_tl=0.01)
         assert beamsplit_know_prob(leaky, eve) == 1.0
 
     def test_per_bit_guess_information(self):
@@ -177,29 +183,9 @@ class TestPassiveAdversaries:
         assert run.eve_information_bits() == pytest.approx(want, rel=1e-12)
 
 
-class TestSift:
-    def test_matches_run_views(self):
-        run = run_qkd(PARAMS, seed=16)
-        idx, alice, bob = sift(run)
-        assert np.array_equal(idx, run.sifted_idx)
-        assert alice == run.alice_sifted
-        assert bob == run.bob_sifted
-
-    def test_exclusion(self):
-        run = run_qkd(PARAMS, seed=17)
-        sample = run.sifted_idx[:100]
-        idx, alice, bob = sift(run, exclude=sample)
-        assert idx.size == run.n_sifted - 100
-        assert not np.isin(idx, sample).any()
-        assert len(alice) == len(bob) == idx.size
-        assert np.array_equal(
-            np.sort(np.concatenate([idx, sample])), run.sifted_idx
-        )
-
-
 class TestTranscript:
     def test_rows_cover_every_pulse(self):
-        run = run_qkd(ChannelParams(n_pulses=500), seed=18)
+        run = run_qkd(replace(PARAMS, n_pulses=500), seed=18)
         rows = list(transcript_rows(run))
         assert len(rows) == 500
         for pulse, a_bit, a_basis, b_basis, det, b_bit in rows:
@@ -210,7 +196,7 @@ class TestTranscript:
                 assert b_bit == ""
 
     def test_csv_shape(self):
-        run = run_qkd(ChannelParams(n_pulses=50), seed=19)
+        run = run_qkd(replace(PARAMS, n_pulses=50), seed=19)
         buf = io.StringIO()
         write_transcript_csv(run, buf)
         lines = buf.getvalue().splitlines()

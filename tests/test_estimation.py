@@ -11,13 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qident.core import BitString, LengthMismatch
 from qident.estimation import (
-    EstimationParams,
     NoSolution,
     NumericalFailure,
     acceptable_error_count,
-    estimate_from_subset,
     likelihood,
     posterior_tail,
     posterior_tail_quadrature,
@@ -50,23 +47,6 @@ class TestLikelihood:
             likelihood(5, 4, 0.1)
         with pytest.raises(ValueError):
             likelihood(1, 4, 1.5)
-
-
-class TestEstimateFromSubset:
-    def test_counts_mismatches(self):
-        a = BitString.from01("110010")
-        b = BitString.from01("100011")
-        k, rate = estimate_from_subset(a, b)
-        assert k == 2
-        assert rate == pytest.approx(2 / 6)
-
-    def test_identical(self):
-        a = BitString.from01("10101")
-        assert estimate_from_subset(a, a) == (0, 0.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            estimate_from_subset(BitString.from01("101"), BitString.from01("10"))
 
 
 class TestPosteriorTail:
@@ -149,22 +129,3 @@ class TestEpsLimit:
         assert k == 24
         assert posterior_tail(1000, k / 1000, 0.07) <= 1e-10
         assert posterior_tail(1000, (k + 1) / 1000, 0.07) > 1e-10
-
-
-class TestEstimationParams:
-    def test_defaults_and_two_s(self):
-        p = EstimationParams()
-        assert (p.s, p.eps_max, p.delta) == (1000, 0.07, 1e-10)
-        assert p.two_s == 2000
-
-    def test_eps_limit_delegates(self):
-        p = EstimationParams()
-        assert p.eps_limit() == solve_eps_limit(1000, 1e-10, 0.07)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EstimationParams(s=0)
-        with pytest.raises(ValueError):
-            EstimationParams(eps_max=1.5)
-        with pytest.raises(ValueError):
-            EstimationParams(delta=0.0)

@@ -16,7 +16,6 @@ from qident.core import (
     BitString,
     LengthMismatch,
     PoolExhausted,
-    SecretPool,
     Triad,
     make_rng,
     random_bitstring,
@@ -37,7 +36,6 @@ from qident.protocol1 import (
     run_protocol1,
     run_sessions,
     run_trials,
-    triads_from_pool,
 )
 
 PARAMS = Protocol1Params()  # n_is=50, eps=0.01, k=1
@@ -109,14 +107,6 @@ class TestBookkeeping:
         run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
         with pytest.raises(PoolExhausted):
             run_protocol1(alice, bob, PARAMS, rng)
-
-    def test_triads_from_pool_mirror(self, rng):
-        store = random_bitstring(600, rng)
-        t1 = triads_from_pool(SecretPool(store), 4, PARAMS)
-        t2 = triads_from_pool(SecretPool(store), 4, PARAMS)
-        assert t1 == t2
-        assert t1[0].is1 == store[:50]
-        assert t1[0].n_is == 50
 
     def test_transcript_records_three_passes(self, rng):
         alice, bob = fresh_pair(rng)

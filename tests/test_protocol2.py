@@ -471,6 +471,22 @@ class TestHonestSession:
             run_protocol2(replace(SMALL, s=32_767), seed=4,
                           alice_pool=pools[0], bob_pool=pools[1])
 
+    def test_channel_error_rate_of_one_half_rejected_before_any_key(self):
+        # BudgetParams admits eps in [0, 1) for the closed form; the
+        # channel simulation needs eps < 1/2
+        pools = make_pools(60_000)
+        with pytest.raises(ValueError, match="below 1/2"):
+            run_protocol2(replace(SMALL, eps=0.5), seed=4,
+                          alice_pool=pools[0], bob_pool=pools[1])
+        assert pools[0].pointer == pools[1].pointer == 0
+
+    def test_key_excludes_the_disclosed_sample(self):
+        # honest views agree, so the key is every sifted position outside
+        # the sample, whose sifted part is the s_real compared positions
+        res = run_protocol2(SMALL, seed=2)
+        assert res.refueled
+        assert res.n_key == res.n_sifted - res.s_real > 0
+
     def test_pa_seed_bits_must_be_positive(self):
         with pytest.raises(ValueError):
             run_protocol2(SMALL, seed=4, pa_seed_bits=0)
@@ -562,6 +578,10 @@ class TestAdversaries:
             message_bit_lengths(100_000, 1000)[MsgKind.POSITIONS]
         )
         assert res.consumed_alice == res.consumed_bob == first_key_bits
+        # what the session never reached keeps its default
+        assert res.n_sifted > 0 and res.refuel_reason is None
+        assert (res.s_real, res.k, res.eps_est, res.n_key, res.leak, res.out_len,
+                res.distilled) == (0, 0, None, 0, 0, 0, None)
 
     def test_intercept_resend_rejected_by_verdict(self):
         script = AdversaryScript(
