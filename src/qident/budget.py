@@ -439,13 +439,14 @@ def _budget_terms(params: BudgetParams, mu, n) -> DistilledTerms:
     var = n * beam_frac * (1.0 - beam_frac) + (
         2.0 * (LN2 + 1.0) * n_s * params.eps_max / LN2 ** 2
     )
-    if np.any(beam_frac > 1.0):  # BudgetParams refuses this at its own mu
-        raise ValueError("beamsplit fraction eta*mu**2/(8*eta_tl) above one")
+    # an intensity whose beamsplit fraction exceeds one (BudgetParams
+    # refuses it at its own mu) keeps no corrected bits, so distils nothing
+    possible = beam_frac <= 1.0
     return DistilledTerms(
-        corrected=corrected_len(n_s, params.eps),
+        corrected=corrected_len(n_s, params.eps) * possible,
         beamsplit=beam_frac * n,
         probe_attack=2.0 * params.eps_max * n_s / LN2,
-        five_sigma=5.0 * np.sqrt(var),
+        five_sigma=5.0 * np.sqrt(np.where(possible, var, 0.0)),
         pa_compression=-math.log(params.delta * LN2) / LN2,
     )
 
@@ -482,7 +483,8 @@ def distilled_len(params: BudgetParams) -> float:
 
 def distilled_per_pulse(params: BudgetParams, mu_grid) -> np.ndarray:
     """Distilled bits per pulse at each intensity of mu_grid, with
-    N = params.n_pulses; one array evaluation, no mu << 1 warning."""
+    N = params.n_pulses; one array evaluation, no mu << 1 warning.  An
+    intensity whose beamsplit fraction exceeds one distils nothing."""
     mu = _intensities(mu_grid)
     return _budget_terms(params, mu, params.n_pulses).total / params.n_pulses
 

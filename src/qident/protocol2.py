@@ -290,12 +290,6 @@ EC_MAX_FIXUPS = 256
 # matter; see run_protocol2
 EC_MIN_MISMATCHES = 3
 
-# numpy's PCG64 (XSL-RR 128/64): each draw steps the state to
-# state * _PCG_MULT + inc mod 2**128 and outputs the stepped state
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M64, _M128 = (1 << 64) - 1, (1 << 128) - 1
-
-
 def _bisect(flips: list[int], lo: int, hi: int) -> tuple[int, int]:
     """Binary-search one flipped bit among indices lo..hi-1, which hold
     an odd number of the sorted indices in flips.
@@ -340,122 +334,37 @@ def _parity_passes(
     raise NonConvergence(f"no clean pass within {max_passes} passes")
 
 
-class _DrawnMasks:
-    """Phase-2 subsets, rng.random(n) < 0.5 once per round, each drawn
-    in full."""
-
-    def __init__(self, rng, n: int):
-        self.rng, self.n = rng, n
-
-    def odd(self, errs: np.ndarray) -> bool:
-        """Whether this round's subset holds an odd number of errs."""
-        self.mask = self.rng.random(self.n) < 0.5
-        return bool(np.count_nonzero(self.mask[errs]) & 1)
-
-    def take(self) -> np.ndarray:
-        """This round's subset; moves on to the next round."""
-        return self.mask
-
-    def next(self) -> None:
-        pass
-
-    def skip(self, rounds: int) -> None:
-        for _ in range(rounds):
-            self.rng.random(self.n)
-
-    def close(self) -> None:
-        pass
-
-
-def _pcg_top_bits(a_hi, a_lo, c_hi, c_lo, state: int) -> np.ndarray:
-    """Top bits of the PCG64 outputs at the states a*state + c mod 2**128,
-    elementwise; a and c come as uint64 halves, products in 32-bit limbs."""
-    m32 = np.uint64(0xFFFFFFFF)
-    s_hi, s_lo = np.uint64(state >> 64), np.uint64(state & _M64)
-    s0, s1 = s_lo & m32, s_lo >> 32
-    a0, a1 = a_lo & m32, a_lo >> 32
-    x00, x01, x10 = a0 * s0, a0 * s1, a1 * s0
-    mid = (x00 >> 32) + (x01 & m32) + (x10 & m32)
-    lo = (x00 & m32) | (mid << 32)
-    hi = a1 * s1 + (x01 >> 32) + (x10 >> 32) + (mid >> 32) + a_hi * s_lo + a_lo * s_hi
-    t_lo = lo + c_lo
-    t_hi = hi + c_hi + (t_lo < lo)
-    # the output is (hi ^ lo) rotated right by hi >> 58
-    return ((t_hi ^ t_lo) >> (((t_hi >> 58) + 63) & 63)) & 1
-
-
-class _PcgMasks(_DrawnMasks):
-    """The same subsets from a PCG64 generator, drawn only as far as a
-    round needs: its bits at the positions still in error come from
-    jumping ahead in the generator's state, and only a round with odd
-    parity there is drawn in full, for bisection.  close() leaves the
-    generator where drawing every round would have left it.
-    """
-
-    def __init__(self, rng, n: int):
-        self.n = n
-        self.bitgen = rng.bit_generator
-        self.saved = self.bitgen.state
-        self.state, self.inc = self.saved["state"]["state"], self.saved["state"]["inc"]
-        self.known = np.zeros(0, dtype=np.int64)  # positions with jumps tabled
-
-    def jump(self, steps: int) -> tuple[int, int]:
-        """(a, c) such that steps draws take state s to a*s + c."""
-        a = pow(_PCG_MULT, steps, 1 << 128)
-        # inc * (1 + mult + ... + mult**(steps-1)), divided exactly
-        g = (pow(_PCG_MULT, steps, (_PCG_MULT - 1) << 128) - 1) // (_PCG_MULT - 1)
-        return a, (self.inc * g) & _M128
-
-    def odd(self, errs: np.ndarray) -> bool:
-        at = np.searchsorted(self.known, errs)
-        if at[-1] >= self.known.size or not np.array_equal(self.known[at], errs):
-            jumps = [self.jump(p + 1) for p in errs.tolist()]
-            self.table = [np.array(v, dtype=np.uint64) for v in zip(
-                *((a >> 64, a & _M64, c >> 64, c & _M64) for a, c in jumps))]
-            self.known, at = errs, np.arange(errs.size)
-        top = _pcg_top_bits(*(v[at] for v in self.table), self.state)
-        return bool((errs.size - np.count_nonzero(top)) & 1)
-
-    def take(self) -> np.ndarray:
-        gen = np.random.PCG64(0)
-        gen.state = {**self.saved, "state": {"state": self.state, "inc": self.inc}}
-        self.next()
-        # random() < 0.5 exactly when the 64-bit output's top bit is 0
-        return gen.random_raw(self.n) < (1 << 63)
-
-    def next(self) -> None:
-        self.skip(1)
-
-    def skip(self, rounds: int) -> None:
-        if rounds:
-            a, c = self.jump(rounds * self.n)
-            self.state = (a * self.state + c) & _M128
-
-    def close(self) -> None:
-        # random() draws whole 64-bit outputs, so the buffered 32-bit
-        # half in the saved state is still current
-        self.bitgen.state = {**self.saved, "state": {"state": self.state, "inc": self.inc}}
+def _in_subset(key: int, round: int, positions: np.ndarray) -> np.ndarray:
+    """Whether each position is in phase-2 round's random subset: the top
+    bit of the splitmix64 finalizer (Steele, Lea & Flood 2014) of
+    key + gamma * (round * 2**40 + position), in uint64 arithmetic mod
+    2**64.  Positions below 2**40 give each (round, position) its own
+    counter, so no subset need ever be drawn in full."""
+    i = np.uint64(round << 40) | np.asarray(positions, np.uint64)
+    z = np.uint64(key) + i * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))) >> np.uint64(63) == 1
 
 
 def _verify(
-    diff: np.ndarray, bob: np.ndarray, masks: _DrawnMasks, rounds: int, max_fixups: int
+    diff: np.ndarray, bob: np.ndarray, key: int, rounds: int, max_fixups: int
 ) -> tuple[int, int, bool]:
     """Phase 2 on diff = alice ^ bob, repairing bob and diff in place;
     returns (parity bits disclosed, repairs, whether rounds parities in
-    a row matched)."""
+    a row matched).  An odd round is repaired by bisecting [0, n) on the
+    parities of its subset's members; only errors are ever hashed."""
+    n = diff.size
     errs = np.flatnonzero(diff)
-    leak = streak = fixups = 0
+    leak = streak = fixups = r = 0
     while streak < rounds and fixups <= max_fixups:
         if errs.size == 0:  # every round left matches
-            masks.skip(rounds - streak)
             return leak + rounds - streak, fixups, True
         leak += 1
-        if masks.odd(errs):
-            mask = masks.take()
-            subset = np.flatnonzero(mask)
-            ranks = np.searchsorted(subset, errs[mask[errs]]).tolist()
-            i, spent = _bisect(ranks, 0, subset.size)
-            j = subset[i]
+        flips = errs[_in_subset(key, r, errs)]
+        r += 1
+        if flips.size & 1:
+            j, spent = _bisect(flips.tolist(), 0, n)
             bob[j] ^= 1
             diff[j] ^= 1
             errs = errs[errs != j]
@@ -463,7 +372,6 @@ def _verify(
             streak = 0
             fixups += 1
         else:
-            masks.next()
             streak += 1
     return leak, fixups, streak == rounds
 
@@ -494,9 +402,10 @@ def error_correct(
     NonConvergence when the pass cap is exceeded or the second phase 2
     also exceeds the fix-up cap.
 
-    The simulation follows diff = alice ^ bob, so a parity comparison
-    is the parity of diff over a subset.  Results, disclosures and the
-    draws taken from rng do not depend on how the subsets are computed.
+    Each phase 2 draws one 63-bit key from rng and takes its subsets
+    from _in_subset, a public function of that key.  The simulation
+    follows diff = alice ^ bob, so a parity comparison is the parity of
+    diff over a subset.
     """
     if alice.shape != bob.shape or alice.ndim != 1:
         raise ValueError("need two equal-length bit vectors")
@@ -506,14 +415,12 @@ def error_correct(
     bob = bob.copy()
     diff = (alice ^ bob).astype(np.uint8)
     leak = repaired = 0
-    pcg = isinstance(getattr(rng, "bit_generator", None), np.random.PCG64)
 
     for _ in range(2):
         block = max(2, int(round(0.73 / max(eps_hint, 1.0 / n))))
         spent, found = _parity_passes(diff, bob, block, rng, max_passes)
-        masks = _PcgMasks(rng, n) if pcg else _DrawnMasks(rng, n)
-        checked, fixups, matched = _verify(diff, bob, masks, verify_rounds, max_fixups)
-        masks.close()
+        key = int(rng.integers(1 << 63))
+        checked, fixups, matched = _verify(diff, bob, key, verify_rounds, max_fixups)
         leak += spent + checked
         if matched:
             return alice.copy(), bob, leak
@@ -842,9 +749,10 @@ def run_protocol2(
 
     # With under EC_MIN_MISMATCHES mismatches the sample can put the rate
     # at half the truth or less.  Phase 1 then leaves errors in pairs, and
-    # phase 2 repairs them one full-length subset at a time, up to its
-    # cap.  Once the key holds more errors at the floor rate than that
-    # cap, phase 1 starts from the floor rate instead.
+    # phase 2 repairs them one at a time, each repair a bisection of the
+    # whole key, up to EC_MAX_FIXUPS before error_correct starts over.
+    # Once the key holds more errors at the floor rate than that cap,
+    # phase 1 starts from the floor rate instead, which leaks less.
     hint = max(res.eps_est, 1e-4)
     if k < EC_MIN_MISMATCHES and alice_key.size * EC_MIN_MISMATCHES > EC_MAX_FIXUPS * s_real:
         hint = EC_MIN_MISMATCHES / s_real

@@ -7,6 +7,7 @@ the probability recurrences) and then frozen.
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -242,6 +243,29 @@ class TestBudgetFormulas:
         edge = replace(reference_params, eta=1.0, eta_tl=0.125, mu=1.0)  # exactly one
         assert distilled_terms(edge).beamsplit == edge.n_pulses
 
+    def test_sweep_past_a_beamsplit_fraction_of_one_distils_nothing(self, reference_params):
+        # at eta = 1, eta_tl = 0.2 the fraction passes one above mu = 1.26;
+        # mu = 0.8 itself is valid (fraction 0.4)
+        params = replace(reference_params, eta=1.0, eta_tl=0.2)
+        grid = budget.default_mu_grid()
+        impossible = grid * grid / 1.6 > 1.0
+        assert impossible.any() and not impossible.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no NaN from a negative variance
+            rate = budget.distilled_per_pulse(params, grid)
+            assert np.all(rate[impossible] == 0.0)
+            assert np.all(np.isfinite(rate))
+            mu_star, _ = optimize_intensity(params)
+            assert not impossible[np.flatnonzero(grid == mu_star)].any()
+            never = budget.break_even_grid(params, grid[impossible], n_hi=10**7)
+            assert np.all(never == budget.NEVER)
+            # off the grid, at eta * mu = 3 with no error terms, the
+            # corrected bits alone outweigh the beamsplit term (fraction 1.25)
+            ideal = replace(params, eta_tl=0.9, eps=0.0, eps_max=0.0)
+            assert budget.distilled_per_pulse(ideal, [3.0]) == 0.0
+        with pytest.raises(ValueError, match="beamsplit fraction"):
+            replace(params, mu=1.3)
+
     def test_mu_warning(self, reference_params):
         with pytest.warns(UserWarning):
             distilled_len(replace(reference_params, mu=1.2))
@@ -321,13 +345,23 @@ def oracle_distilled_len(params):
     return max(0.0, c - b - p - f - pa)
 
 
+def oracle_distilled_len_at(params, mu):
+    """oracle_distilled_len at intensity mu; an intensity whose beamsplit
+    fraction exceeds one, which BudgetParams refuses, distils nothing."""
+    try:
+        return oracle_distilled_len(replace(params, mu=mu))
+    except ValueError as e:
+        assert "beamsplit fraction" in str(e)
+        return 0.0
+
+
 def oracle_optimize_intensity(params, mu_grid=None):
     grid = budget.default_mu_grid() if mu_grid is None else np.asarray(mu_grid, float)
     if grid.size == 0 or grid.min() <= 0.0 or grid.max() > 1.5:
         raise ValueError("mu grid must lie within (0, 1.5]")
     best_mu, best_ratio = None, 0.0
     for mu in grid:
-        ratio = oracle_distilled_len(replace(params, mu=float(mu))) / params.n_pulses
+        ratio = oracle_distilled_len_at(params, float(mu)) / params.n_pulses
         if ratio > best_ratio:
             best_mu, best_ratio = float(mu), float(ratio)
     if best_mu is None:
@@ -337,7 +371,9 @@ def oracle_optimize_intensity(params, mu_grid=None):
 
 def oracle_break_even_pulses(params, reoptimize_mu=False, n_lo=2,
                              n_hi=1_000_000_000, rel_resolution=1e-3,
-                             consumption=oracle_min_initial_secret_bits):
+                             consumption=oracle_min_initial_secret_bits, mu=None):
+    mu = params.mu if mu is None else mu
+
     def ratio(n):
         p = replace(params, n_pulses=n)
         if reoptimize_mu:
@@ -347,7 +383,7 @@ def oracle_break_even_pulses(params, reoptimize_mu=False, n_lo=2,
                 return 0.0
             gained = rate * n
         else:
-            gained = oracle_distilled_len(p)
+            gained = oracle_distilled_len_at(p, mu)
         used = consumption(n, params.s, params.a)
         if used <= 0:
             return math.inf if gained >= 0.0 else 0.0
@@ -368,9 +404,7 @@ def oracle_break_even_pulses(params, reoptimize_mu=False, n_lo=2,
 
 
 def outcome(fn, *args, **kwargs):
-    """A call's value, or the type of the library exception it raised.
-    An intensity whose beamsplit fraction exceeds one raises ValueError
-    in the oracle's replace() and in the array path alike."""
+    """A call's value, or the type of the library exception it raised."""
     try:
         return fn(*args, **kwargs)
     except (ValueError, AllZero, NeverBreaksEven) as e:
@@ -449,9 +483,8 @@ class TestArrayPathMatchesOracle:
         # one bracket per intensity, each as if searched on its own
         lib_c, oracle_c = consumption_pair(c)
         got = outcome(budget.break_even_grid, params, grid, consumption=lib_c, **search)
-        want = [outcome(lambda m: oracle_break_even_pulses(
-                    replace(params, mu=m), consumption=oracle_c, **search), m)
-                for m in grid]
+        want = [outcome(oracle_break_even_pulses, params, consumption=oracle_c,
+                        mu=m, **search) for m in grid]
         if ValueError in want:
             assert got is ValueError
         else:
@@ -461,13 +494,8 @@ class TestArrayPathMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(budget_params(), st.lists(st.sampled_from(GRID_MU), min_size=1, max_size=40))
     def test_rates_on_grid_values_are_exact(self, params, grid):
-        want = [outcome(lambda m: oracle_distilled_len(replace(params, mu=m)), m)
-                for m in grid]
-        got = outcome(budget.distilled_per_pulse, params, grid)
-        if ValueError in want:
-            assert got is ValueError
-        else:
-            assert got.tolist() == [w / params.n_pulses for w in want]
+        want = [oracle_distilled_len_at(params, m) / params.n_pulses for m in grid]
+        assert budget.distilled_per_pulse(params, grid).tolist() == want
 
     @pytest.mark.filterwarnings("ignore:distilled-key formula assumes")
     @settings(max_examples=150, deadline=None)

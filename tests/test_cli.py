@@ -269,6 +269,21 @@ class TestAnalysisCommands:
             "d91f1449dd2e01a56843daba0e6c6a4fa1552ab4334862d9f38dd4900978a4b3"
         )
 
+    def test_optimize_mu_skips_intensities_past_a_beamsplit_fraction_of_one(
+        self, capsys, tmp_path
+    ):
+        # eta * mu**2 / (8 * eta_tl) is 0.4 at mu = 0.8 and passes one
+        # from mu = 1.27 on the grid: those rows distil nothing, never
+        # break even, and mu* is chosen among the rest
+        cfg = write_config(tmp_path, "eta = 1\neta_tl = 0.2\nmu = 0.8\n")
+        code, out, err = run_cli(capsys, "optimize-mu", "--config", cfg)
+        assert code == 0
+        assert "best intensity mu* = 0.29" in err
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        past = [row for row in rows if float(row[0]) >= 1.27]
+        assert len(past) == 24
+        assert all(rate == "0.0" and even == "" for _, rate, even in past)
+
     def test_determinism_across_analysis_commands(self, capsys):
         for cmd in ("deception", "epslim", "budget", "optimize-mu"):
             _, out1, _ = run_cli(capsys, cmd)

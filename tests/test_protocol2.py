@@ -263,38 +263,87 @@ class TestErrorCorrection:
         ],
     )
     def test_subsets_computed_as_if_drawn_in_full(self, monkeypatch, n, rate, hint, kw):
-        # phase 2 on a PCG64 generator jumps over the subsets it does not
-        # need in full; results, disclosures and the generator's next
-        # draws must equal those of drawing every subset in full
+        # phase 2 hashes only the positions in error; the reference builds
+        # every round's subset in full and bisects [0, n) on the parity of
+        # diff gathered over each lower half, as the parties announce it
         data = make_rng(n)
         a = data.integers(0, 2, n, dtype=np.uint8)
         b = a ^ (data.random(n) < rate).astype(np.uint8)
+        bound = math.ceil(math.log2(n)) + 1
 
-        def run():
-            gen = make_rng(99)
-            gen.integers(0, 5)  # leaves a buffered 32-bit half
+        def naive_verify(diff, bob, key, rounds, max_fixups):
+            leak = streak = fixups = r = 0
+            while streak < rounds and fixups <= max_fixups:
+                subset = protocol2._in_subset(key, r, np.arange(n))
+                r += 1
+                leak += 1
+                if not diff[subset].sum() & 1:
+                    streak += 1
+                    continue
+                lo, hi, spent = 0, n, 1
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    spent += 1
+                    if diff[lo:mid][subset[lo:mid]].sum() & 1:
+                        hi = mid
+                    else:
+                        lo = mid
+                assert spent <= bound
+                bob[lo] ^= 1
+                diff[lo] ^= 1
+                leak, streak, fixups = leak + spent, 0, fixups + 1
+            return leak, fixups, streak == rounds
+
+        def run(verify):
+            phases, charges = [], []
+
+            def spy_verify(*args):
+                phases.append(verify(*args))
+                return phases[-1]
+
+            def spy_bisect(flips, lo, hi):
+                found = real_bisect(flips, lo, hi)
+                charges.append((hi - lo, found[1]))
+                return found
+
+            monkeypatch.setattr(protocol2, "_verify", spy_verify)
+            monkeypatch.setattr(protocol2, "_bisect", spy_bisect)
             try:
-                _, bob, leak = error_correct(a, b, hint, gen, **kw)
+                _, bob, leak = error_correct(a, b, hint, make_rng(99), **kw)
                 out = bob.tobytes(), leak
             except NonConvergence as exc:
                 out = str(exc)
-            return out, gen.bit_generator.state
+            for size, spent in charges:
+                assert spent <= math.ceil(math.log2(size)) + 1 <= bound
+            return out, phases
 
-        jumped = run()
-        monkeypatch.setattr(protocol2, "_PcgMasks", protocol2._DrawnMasks)
-        assert jumped == run()
+        real_verify, real_bisect = protocol2._verify, protocol2._bisect
+        assert run(real_verify) == run(naive_verify)
 
-    def test_pcg_top_bits_match_the_generator(self):
-        gen = make_rng(5)
-        state = gen.bit_generator.state["state"]
-        masks = protocol2._PcgMasks(gen, 1000)
-        steps = [1, 2, 3, 64, 999, 1000]
-        jumps = [masks.jump(t) for t in steps]
-        halves = [np.array(v, dtype=np.uint64) for v in zip(
-            *((a >> 64, a & protocol2._M64, c >> 64, c & protocol2._M64) for a, c in jumps))]
-        top = protocol2._pcg_top_bits(*halves, state["state"])
-        raw = gen.bit_generator.random_raw(1000)
-        assert top.tolist() == [int(raw[t - 1] >> 63) for t in steps]
+    @pytest.mark.parametrize(
+        "key, first",
+        [(0x5DEECE66D, 0), ((1 << 63) - 1, (1 << 40) - (1 << 16))],
+        ids=["small-key", "large-key-top-positions"],
+    )
+    def test_subsets_are_fair_and_independent_across_rounds(self, key, first):
+        # the second case wraps key + counter mod 2**64 and puts round r's
+        # last positions next to round r + 1's counter range
+        n = 1 << 16
+        positions = first + np.arange(n)
+        rounds = np.array([protocol2._in_subset(key, r, positions) for r in range(64)])
+        five_sigma = 5 * math.sqrt(n / 4)
+        assert np.all(np.abs(rounds.sum(axis=1) - n / 2) <= five_sigma)
+        agree = (rounds[1:] == rounds[:-1]).sum(axis=1)
+        assert np.all(np.abs(agree - n / 2) <= five_sigma)
+
+    def test_phase_2_draws_one_key_per_attempt(self, rng):
+        # a clean string: one phase-1 permutation, then the phase-2 key
+        a = rng.integers(0, 2, 1024, dtype=np.uint8)
+        gen, ref = make_rng(4), make_rng(4)
+        error_correct(a, a.copy(), 0.01, gen)
+        ref.permutation(1024)
+        ref.integers(1 << 63)
+        assert gen.integers(1 << 62) == ref.integers(1 << 62)
 
 
 class TestPrivacyAmplification:
