@@ -198,6 +198,10 @@ class Triad:
     def n_is(self) -> int:
         return len(self.is1)
 
+    @property
+    def parts(self) -> tuple[BitString, BitString, BitString]:
+        return self.is1, self.is2, self.is3
+
 
 class SecretPool:
     """Shared secret bit store consumed strictly left to right.

@@ -163,6 +163,11 @@ class Protocol1Result:
         return self.outcome is IdentOutcome.SUCCESS
 
 
+# (sender, checker) of passes 1, 2 and 3; the checker compares what
+# arrived with its own copy of that part.
+_PASSES = (("alice", "bob"), ("bob", "alice"), ("alice", "bob"))
+
+
 def _transmit(
     bits: BitString, eps: float, rng: np.random.Generator
 ) -> BitString:
@@ -183,13 +188,13 @@ def run_protocol1(
     """One identification session.
 
     Pointers are synchronized first (both adopt the maximum), then one
-    triad is consumed on each side whatever the outcome.  channel_eps
-    defaults to the design error rate in params.
+    triad is consumed on each side whatever the outcome, and the passes
+    run in _PASSES order until one is rejected.  channel_eps defaults to
+    the design error rate in params.
     """
     _check_channel_eps(channel_eps)
     rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
     eps = params.eps if channel_eps is None else channel_eps
-    k = params.k
 
     synced = pointer_sync(alice.pointer, bob.pointer)
     alice.pointer = synced
@@ -197,55 +202,33 @@ def run_protocol1(
     if alice.remaining < 1 or bob.remaining < 1:
         raise PoolExhausted("no unused identification triads after sync")
 
-    ta = alice.next_triad()
-    tb = bob.next_triad()
+    parties = {"alice": alice, "bob": bob}
+    triads = {"alice": alice.next_triad(), "bob": bob.next_triad()}
     transcript: list[tuple[int, str, BitString, bool]] = []
     distances: dict[int, int] = {}
-
-    def finish(outcome: IdentOutcome) -> Protocol1Result:
-        return Protocol1Result(
-            outcome=outcome,
-            distances=distances,
-            alice_pointer=alice.pointer,
-            bob_pointer=bob.pointer,
-            bits_consumed=params.triad_bits,
-            transcript=transcript,
-        )
-
-    # pass 1: Alice -> Bob, first part
-    r1 = _transmit(ta.is1, eps, rng)
-    ok = bob.accepts(r1, tb.is1, k)
-    distances[1] = r1.hamming(tb.is1)
-    transcript.append((1, "A->B", r1, ok))
-    if not ok:
-        return finish(IdentOutcome.ABORT_PASS1)
-
-    # pass 2: Bob -> Alice, second part
-    r2 = _transmit(tb.is2, eps, rng)
-    ok = alice.accepts(r2, ta.is2, k)
-    distances[2] = r2.hamming(ta.is2)
-    transcript.append((2, "B->A", r2, ok))
-    if not ok:
-        return finish(IdentOutcome.ABORT_PASS2)
-
-    # pass 3: Alice -> Bob, third part
-    r3 = _transmit(ta.is3, eps, rng)
-    ok = bob.accepts(r3, tb.is3, k)
-    distances[3] = r3.hamming(tb.is3)
-    transcript.append((3, "A->B", r3, ok))
-    if not ok:
-        return finish(IdentOutcome.ABORT_PASS3)
-
-    return finish(IdentOutcome.SUCCESS)
+    outcome = IdentOutcome.SUCCESS
+    for i, (sender, checker) in enumerate(_PASSES):
+        own = triads[checker].parts[i]
+        received = _transmit(triads[sender].parts[i], eps, rng)
+        ok = parties[checker].accepts(received, own, params.k)
+        distances[i + 1] = received.hamming(own)
+        transcript.append((i + 1, f"{sender[0]}->{checker[0]}".upper(), received, ok))
+        if not ok:
+            outcome = list(IdentOutcome)[i + 1]
+            break
+    return Protocol1Result(
+        outcome=outcome,
+        distances=distances,
+        alice_pointer=alice.pointer,
+        bob_pointer=bob.pointer,
+        bits_consumed=params.triad_bits,
+        transcript=transcript,
+    )
 
 
 # Trials simulated per array step, so that a chunk's bits and one pass's
 # noise draws stay at about a megabyte whatever n_trials is.
 TRIAL_CHUNK = 2048
-
-# (sender, checker) of passes 1, 2 and 3; the checker compares what
-# arrived with its own copy of that part.
-_PASSES = (("alice", "bob"), ("bob", "alice"), ("alice", "bob"))
 
 
 def _check_run_args(n: int, impostor: str | None, channel_eps: float | None) -> None:

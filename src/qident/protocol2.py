@@ -10,15 +10,18 @@ Message flow (kinds in parentheses; B is the photon receiver):
     B -> A  POSITIONS (1)        2s detected positions, authenticated
     A -> B  BASES_AND_BITS (2)   A's basis and bit at each, authenticated
     B -> A  FINAL_VERDICT (3)    accept flag + mismatch count k, authenticated
-    B -> A  BASIS_ANNOUNCE (5)   all detected positions with B's bases
-    A -> B  COINCIDENCE (6)      basis-match mask over the announced list
+    B -> A  BASIS_ANNOUNCE (5)   B's detection map over all n pulses, then
+                                 his basis at each detection
+    A -> B  COINCIDENCE (6)      basis-match mask over the detections
             (interactive parity error correction, in process)
-    A -> B  PA_SEED (7)          seed of the final compression hash
+    A -> B  PA_SEED (7)          seed of the final compression hash; A hashes
+                                 with the seed she drew, B with the one received
     either  ABORT (4)
 
 Identification is mutual: each party proves possession of the pool by
 authenticating at least one message, and every verification failure
-aborts the session.  Authentication keys are drawn from the pool in
+aborts the session, as does a frame that does not parse or arrives as
+another kind than was sent.  Authentication keys are drawn from the pool in
 message order by both parties alike, and a key is consumed even when
 the message it protects is rejected, so no key is ever reused.
 
@@ -38,7 +41,8 @@ is non-positive or exceeds the actually available sifted bits minus
 error-correction leakage.
 
 Wire format: 1 byte kind, 4-byte big-endian payload bit count, payload
-zero-padded to whole bytes, then an 8-byte big-endian tag on kinds 1-3.
+zero-padded to whole bytes, then an 8-byte big-endian tag below 2**61 - 1
+on kinds 1-3.
 """
 
 from __future__ import annotations
@@ -130,9 +134,11 @@ class WireMessage:
             raise ValueError(f"kind {self.kind} has wrong tag presence")
 
     def to_bytes(self) -> bytes:
+        """Any tag that fits the 8-byte field is written, so that a
+        tamper hook can put an out-of-range tag on the wire."""
         head = bytes([self.kind]) + len(self.payload).to_bytes(4, "big")
         body = self.payload.to_bytes()
-        tail = auth.tag_to_bytes(self.tag) if self.tag is not None else b""
+        tail = b"" if self.tag is None else int(self.tag).to_bytes(auth.TAG_BYTES, "big")
         return head + body + tail
 
     @classmethod
@@ -149,7 +155,9 @@ class WireMessage:
         if len(data) != 5 + n_body + n_tag:
             raise WireFormatError("length field disagrees with frame size")
         payload = BitString.from_bytes(data[5 : 5 + n_body], n_bits)
-        tag = auth.tag_from_bytes(data[5 + n_body :]) if n_tag else None
+        tag = int.from_bytes(data[5 + n_body :], "big") if n_tag else None
+        if n_tag and tag >= auth.M61:
+            raise WireFormatError("tag exceeds the production modulus")
         return cls(kind, payload, tag)
 
 
@@ -220,10 +228,6 @@ def select_subset_positions(
 # -- payload builders / parsers ----------------------------------------
 
 
-def _build_positions(positions: np.ndarray, w: int) -> BitString:
-    return pack_uints(positions, w)
-
-
 def _parse_positions(payload: BitString, w: int, s: int, n_pulses: int) -> np.ndarray:
     if len(payload) != 2 * s * w:
         raise WireFormatError("sample message has wrong length")
@@ -234,27 +238,20 @@ def _parse_positions(payload: BitString, w: int, s: int, n_pulses: int) -> np.nd
 
 
 def _build_bases_bits(bases: np.ndarray, bits: np.ndarray) -> BitString:
-    out = np.empty(2 * bases.size, dtype=np.uint8)
-    out[0::2] = bases
-    out[1::2] = bits
-    return BitString(out)
+    return BitString(np.column_stack([bases, bits]).ravel())
 
 
 def _parse_bases_bits(payload: BitString, s: int) -> tuple[np.ndarray, np.ndarray]:
     if len(payload) != 4 * s:
         raise WireFormatError("basis-and-bit message has wrong length")
-    arr = payload.bits
-    return arr[0::2].copy(), arr[1::2].copy()
+    return payload.bits[0::2], payload.bits[1::2]
 
 
 def _build_verdict(accept: bool, k: int) -> BitString:
     if not 0 <= k < (1 << 16):
         raise ValueError("mismatch count does not fit in 16 bits")
-    return (
-        BitString.from01("1" if accept else "0")
-        + BitString.zeros(15)
-        + pack_uints([k], 16)
-    )
+    # accept flag, 15 reserved zero bits, k
+    return pack_uints([int(accept) << 31 | k], 32)
 
 
 def _parse_verdict(payload: BitString) -> tuple[bool, int]:
@@ -265,20 +262,24 @@ def _parse_verdict(payload: BitString) -> tuple[bool, int]:
     return bool(payload[0]), int(unpack_uints(payload[16:32], 16)[0])
 
 
-def _build_announce(positions: np.ndarray, bases: np.ndarray, w: int) -> BitString:
-    return pack_uints(positions.astype(np.int64) * 2 + bases, w + 1)
+def _build_announce(detected: np.ndarray, bases: np.ndarray) -> BitString:
+    return BitString(np.concatenate([detected, bases]))
 
 
-def _parse_announce(
-    payload: BitString, w: int, n_pulses: int
-) -> tuple[np.ndarray, np.ndarray]:
-    if len(payload) % (w + 1):
-        raise WireFormatError("announcement length not a whole number of entries")
-    entries = unpack_uints(payload, w + 1)
-    pos = entries >> 1
-    if pos.size and (pos.max() >= n_pulses or np.any(np.diff(pos) <= 0)):
-        raise WireFormatError("announced positions not strictly increasing in range")
-    return pos, (entries & 1).astype(np.uint8)
+def _parse_announce(payload: BitString, n_pulses: int) -> tuple[np.ndarray, np.ndarray]:
+    """(detected positions, bases there) from a detection map over
+    n_pulses pulses followed by one basis bit per detection."""
+    bits = payload.bits
+    pos = np.flatnonzero(bits[:n_pulses])
+    if bits.size != n_pulses + pos.size:
+        raise WireFormatError("announcement length disagrees with its detection count")
+    return pos, bits[n_pulses:]
+
+
+def _parse_fixed(payload: BitString, n_bits: int) -> BitString:
+    if len(payload) != n_bits:
+        raise WireFormatError(f"expected {n_bits} payload bits, got {len(payload)}")
+    return payload
 
 
 # -- interactive error correction --------------------------------------
@@ -431,6 +432,9 @@ def error_correct(
 
 # -- privacy amplification ---------------------------------------------
 
+# bits of the compression seed A draws and announces
+PA_SEED_BITS = 128
+
 
 def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString:
     """Compress bits to out_len via a random Toeplitz matrix over GF(2).
@@ -539,15 +543,52 @@ class Protocol2Result:
         return self.gained - self.consumed_alice
 
 
-def _send(msg: WireMessage, tamper, transcript: list[WireMessage]) -> WireMessage:
-    """Serialize, optionally tamper in transit, reparse at the receiver."""
+class _Stop(Exception):
+    """Ends a session early at the stage or for the reason it names."""
+
+
+def _send(res, tamper, msg: WireMessage, stage: str, parse, key=None):
+    """Serialize msg, let the tamper hook rewrite it in transit, reparse
+    it at the receiver and return parse(payload).  With a key, the tag
+    must verify under it first, or the session stops at <stage>-auth.  A
+    frame that does not parse, or arrives as another kind than was
+    sent, stops it at <stage>-structure."""
+    kind = msg.kind
     if tamper is not None:
-        out = tamper(msg)
-        if out is not None:
-            msg = out
-    msg = WireMessage.from_bytes(msg.to_bytes())
-    transcript.append(msg)
-    return msg
+        msg = tamper(msg) or msg
+    try:
+        msg = WireMessage.from_bytes(msg.to_bytes())
+        res.transcript.append(msg)
+        if msg.kind != kind:
+            raise WireFormatError(f"{kind.name} arrived as {msg.kind.name}")
+        if key is not None and not auth.verify(msg.payload, msg.tag, key):
+            raise _Stop(f"{stage}-auth")
+        return parse(msg.payload)
+    except WireFormatError:
+        raise _Stop(f"{stage}-structure") from None
+
+
+def _exchange(res, tamper, kind: MsgKind, stage: str, payload: BitString,
+              from_bob: bool, parse):
+    """One authenticated message: both parties draw its key from their
+    pools in message order, the sender tags with its key and the
+    receiver verifies with its own."""
+    n_words = auth.words_needed(len(payload))
+    key_a, _ = auth.key_from_pool(res.alice_pool, n_words)
+    key_b, _ = auth.key_from_pool(res.bob_pool, n_words)
+    send_key, receive_key = (key_b, key_a) if from_bob else (key_a, key_b)
+    msg = WireMessage(kind, payload, auth.authenticate(payload, send_key))
+    return _send(res, tamper, msg, stage, parse, receive_key)
+
+
+def _accepts(k: int, s_real: int, params: BudgetParams) -> bool:
+    """The acceptance test: k / s_real at most the Bayesian limit for a
+    sample of s_real."""
+    try:
+        return s_real > 0 and k / s_real <= solve_eps_limit(
+            s_real, params.delta, params.eps_max)
+    except NoSolution:
+        return False
 
 
 def run_protocol2(
@@ -556,8 +597,6 @@ def run_protocol2(
     adversary: AdversaryScript | None = None,
     alice_pool: SecretPool | None = None,
     bob_pool: SecretPool | None = None,
-    initial_pool_bits: int | None = None,
-    pa_seed_bits: int = 128,
 ) -> Protocol2Result:
     """Simulate one full identification-plus-refuelling session.
 
@@ -566,12 +605,11 @@ def run_protocol2(
     pools (they must mirror each other); pointers are synchronized
     first, and the session refuses to start, consuming nothing, on less
     than the planned key consumption.  Without explicit pools, both
-    parties start from identical fresh pools of initial_pool_bits random
-    bits (default: planned consumption plus slack).
+    parties start from identical fresh pools of default_pool_bits
+    random bits.
     """
     if adversary is None:
         adversary = AdversaryScript()
-    eve, tamper = adversary.eve, adversary.tamper
     if params.a != auth.WORD_BITS:
         raise ValueError(
             f"authentication tag width {params.a} does not match the "
@@ -579,21 +617,14 @@ def run_protocol2(
         )
     if 2 * params.s >= 1 << 16:
         raise ValueError(f"2s = {2 * params.s} overflows the verdict's 16-bit k field")
-    if pa_seed_bits < 1:
-        raise ValueError("pa_seed_bits must be positive")
     if (alice_pool is None) != (bob_pool is None):
         raise ValueError("provide both pools or neither")
     root = make_rng(seed)
     pool_rng, qkd_rng, proto_rng = spawn_streams(root, 3)
 
-    n = params.n_pulses
-    s = params.s
-    w = position_field_bits(n)
-    lengths = message_bit_lengths(n, s)
+    n, s = params.n_pulses, params.s
     if alice_pool is None:
-        if initial_pool_bits is None:
-            initial_pool_bits = default_pool_bits(n, s)
-        shared = random_bitstring(initial_pool_bits, pool_rng)
+        shared = random_bitstring(default_pool_bits(n, s), pool_rng)
         alice_pool, bob_pool = SecretPool(shared), SecretPool(shared)
 
     synced = pointer_sync(alice_pool.pointer, bob_pool.pointer)
@@ -606,146 +637,80 @@ def run_protocol2(
             f"unused bits, the session floor is {floor}"
         )
 
-    run = run_qkd(params, qkd_rng, eve)
+    run = run_qkd(params, qkd_rng, adversary.eve)
     res = Protocol2Result(alice_pool, bob_pool, n_sifted=run.n_sifted)
-    transcript = res.transcript
-    consumed_start = alice_pool.pointer
-
-    def finish(refuel_reason: str | None = None) -> Protocol2Result:
-        res.refuel_reason = refuel_reason
-        res.consumed_alice = alice_pool.pointer - consumed_start
-        res.consumed_bob = bob_pool.pointer - consumed_start
-        return res
-
-    def abort(where: str) -> Protocol2Result:
-        res.aborted_at = where
-        transcript.append(WireMessage(MsgKind.ABORT, BitString.zeros(0)))
-        return finish()
-
-    det_idx = np.nonzero(run.bob_detected)[0]
-
-    # authentication keys, drawn in message order by both parties alike
-    def draw_keys(kind: MsgKind) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n_words = auth.words_needed(lengths[kind])
-        ka, _ = auth.key_from_pool(alice_pool, n_words)
-        kb, _ = auth.key_from_pool(bob_pool, n_words)
-        return ka, kb
-
-    # B -> A: sample positions
-    sample = select_subset_positions(det_idx, 2 * s, proto_rng)
-    key_a, key_b = draw_keys(MsgKind.POSITIONS)
-    payload = _build_positions(sample, w)
-    msg = _send(
-        WireMessage(MsgKind.POSITIONS, payload, auth.authenticate(payload, key_b)),
-        tamper,
-        transcript,
-    )
-    if not auth.verify(msg.payload, msg.tag, key_a):
-        return abort("positions-auth")
+    start = alice_pool.pointer
     try:
-        sample_at_alice = _parse_positions(msg.payload, w, s, n)
-    except WireFormatError:
-        return abort("positions-structure")
+        _play(res, params, run, proto_rng, adversary.tamper)
+    except _Stop as stop:
+        if res.identified:
+            res.refuel_reason = str(stop)
+        else:
+            res.aborted_at = str(stop)
+            res.transcript.append(WireMessage(MsgKind.ABORT, BitString.zeros(0)))
+    res.consumed_alice = alice_pool.pointer - start
+    res.consumed_bob = bob_pool.pointer - start
+    return res
 
-    # A -> B: her bases and bits at the sampled positions
-    key_a, key_b = draw_keys(MsgKind.BASES_AND_BITS)
-    payload = _build_bases_bits(
-        run.alice_bases[sample_at_alice], run.alice_bits[sample_at_alice]
-    )
-    msg = _send(
-        WireMessage(MsgKind.BASES_AND_BITS, payload, auth.authenticate(payload, key_a)),
-        tamper,
-        transcript,
-    )
-    if not auth.verify(msg.payload, msg.tag, key_b):
-        return abort("bases-bits-auth")
-    try:
-        a_bases, a_bits = _parse_bases_bits(msg.payload, s)
-    except WireFormatError:
-        return abort("bases-bits-structure")
+
+def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
+    """The session's messages in order, recorded in res; raises _Stop
+    at the first stage that fails and returns after a refuel."""
+    n, s = params.n_pulses, params.s
+    w = position_field_bits(n)
+    det_idx = np.flatnonzero(run.bob_detected)
+
+    # B -> A: sample positions; A -> B: her bases and bits at them
+    sample = select_subset_positions(det_idx, 2 * s, rng)
+    sample_at_alice = _exchange(
+        res, tamper, MsgKind.POSITIONS, "positions", pack_uints(sample, w), True,
+        lambda p: _parse_positions(p, w, s, n))
+    a_bases, a_bits = _exchange(
+        res, tamper, MsgKind.BASES_AND_BITS, "bases-bits",
+        _build_bases_bits(run.alice_bases[sample_at_alice], run.alice_bits[sample_at_alice]),
+        False, lambda p: _parse_bases_bits(p, s))
 
     # B compares at basis coincidences and renders the verdict
     matched = run.bob_bases[sample] == a_bases
-    s_real = int(matched.sum())
-    k = int((run.bob_bits[sample][matched] != a_bits[matched]).sum())
-    res.s_real, res.k = s_real, k
-    accept = False
+    s_real = res.s_real = int(matched.sum())
+    k = res.k = int((run.bob_bits[sample][matched] != a_bits[matched]).sum())
     if s_real > 0:
         res.eps_est = k / s_real
-        try:
-            accept = k / s_real <= solve_eps_limit(s_real, params.delta, params.eps_max)
-        except NoSolution:
-            accept = False
-    res.verdict_accept = accept
-
-    # B -> A: verdict
-    key_a, key_b = draw_keys(MsgKind.FINAL_VERDICT)
-    payload = _build_verdict(accept, k)
-    msg = _send(
-        WireMessage(MsgKind.FINAL_VERDICT, payload, auth.authenticate(payload, key_b)),
-        tamper,
-        transcript,
-    )
-    if not auth.verify(msg.payload, msg.tag, key_a):
-        return abort("verdict-auth")
-    try:
-        accept_at_alice, k_at_alice = _parse_verdict(msg.payload)
-    except WireFormatError:
-        return abort("verdict-structure")
+    accept = res.verdict_accept = _accepts(k, s_real, params)
+    accept_at_alice, k_at_alice = _exchange(
+        res, tamper, MsgKind.FINAL_VERDICT, "verdict", _build_verdict(accept, k), True,
+        _parse_verdict)
 
     # every authentication key verified: the peers are identified
     res.identified = True
     if not (accept and accept_at_alice):
-        return finish("verdict-reject")
+        raise _Stop("verdict-reject")
 
-    # B -> A: all detected positions and bases (plumbing, unauthenticated)
-    msg = _send(
-        WireMessage(
-            MsgKind.BASIS_ANNOUNCE, _build_announce(det_idx, run.bob_bases[det_idx], w)
-        ),
-        tamper,
-        transcript,
-    )
-    try:
-        ann_pos, ann_bases = _parse_announce(msg.payload, w, n)
-    except WireFormatError:
-        return finish("announce-structure")
+    # B -> A: detection map and bases (plumbing, unauthenticated)
+    ann_pos, ann_bases = _send(
+        res, tamper,
+        WireMessage(MsgKind.BASIS_ANNOUNCE,
+                    _build_announce(run.bob_detected, run.bob_bases[det_idx])),
+        "announce", lambda p: _parse_announce(p, n))
 
     # A re-applies the acceptance test with her own view of s_real
     in_sample = np.isin(ann_pos, sample_at_alice)
     alice_matched = run.alice_bases[ann_pos] == ann_bases
-    s_real_at_alice = int((in_sample & alice_matched).sum())
-    recheck = False
-    if s_real_at_alice > 0:
-        try:
-            recheck = (
-                k_at_alice / s_real_at_alice
-                <= solve_eps_limit(s_real_at_alice, params.delta, params.eps_max)
-            )
-        except NoSolution:
-            recheck = False
-    res.alice_recheck = recheck
-    if not recheck:
-        return finish("alice-recheck")
+    res.alice_recheck = _accepts(k_at_alice, int((in_sample & alice_matched).sum()), params)
+    if not res.alice_recheck:
+        raise _Stop("alice-recheck")
 
-    # A -> B: coincidence mask over the announced list
-    msg = _send(
-        WireMessage(MsgKind.COINCIDENCE, BitString(alice_matched.astype(np.uint8))),
-        tamper,
-        transcript,
-    )
-    mask_at_bob = msg.payload.bits.astype(bool)
-    if mask_at_bob.size != det_idx.size:
-        return finish("coincidence-structure")
+    # A -> B: coincidence mask over the announced detections
+    mask_at_bob = _send(
+        res, tamper, WireMessage(MsgKind.COINCIDENCE, BitString(alice_matched)),
+        "coincidence", lambda p: _parse_fixed(p, det_idx.size)).bits.astype(bool)
 
     # the refuelling key: basis-matched positions outside the disclosed sample
-    alice_key_pos = ann_pos[alice_matched & ~in_sample]
-    bob_key_pos = det_idx[mask_at_bob & ~np.isin(det_idx, sample)]
-    alice_key = run.alice_bits[alice_key_pos]
-    bob_key = run.bob_bits[bob_key_pos]
+    alice_key = run.alice_bits[ann_pos[alice_matched & ~in_sample]]
+    bob_key = run.bob_bits[det_idx[mask_at_bob & ~np.isin(det_idx, sample)]]
     res.n_key = int(alice_key.size)
     if alice_key.size != bob_key.size or alice_key.size == 0:
-        return finish("no-key-bits")
+        raise _Stop("no-key-bits")
 
     # With under EC_MIN_MISMATCHES mismatches the sample can put the rate
     # at half the truth or less.  Phase 1 then leaves errors in pairs, and
@@ -757,32 +722,27 @@ def run_protocol2(
     if k < EC_MIN_MISMATCHES and alice_key.size * EC_MIN_MISMATCHES > EC_MAX_FIXUPS * s_real:
         hint = EC_MIN_MISMATCHES / s_real
     try:
-        _, bob_corrected, leak = error_correct(alice_key, bob_key, hint, proto_rng)
+        _, bob_corrected, leak = error_correct(alice_key, bob_key, hint, rng)
     except NonConvergence:
-        return finish("ec-nonconvergence")
+        raise _Stop("ec-nonconvergence") from None
     res.leak = leak
 
     out_len = res.out_len = compute_out_len(params, res.eps_est, leak)
     if out_len <= 0:
-        return finish("budget-nonpositive")
+        raise _Stop("budget-nonpositive")
     if out_len > alice_key.size - leak:
-        return finish("budget-exceeds-available")
+        raise _Stop("budget-exceeds-available")
 
-    # A -> B: compression seed
-    msg = _send(
-        WireMessage(MsgKind.PA_SEED, random_bitstring(pa_seed_bits, proto_rng)),
-        tamper,
-        transcript,
-    )
-    if len(msg.payload) != pa_seed_bits:
-        return finish("pa-seed-structure")
-    alice_new = privacy_amplify(BitString(alice_key), out_len, msg.payload)
-    bob_new = privacy_amplify(BitString(bob_corrected), out_len, msg.payload)
+    # A -> B: compression seed; each party hashes with its own copy
+    seed = random_bitstring(PA_SEED_BITS, rng)
+    seed_at_bob = _send(res, tamper, WireMessage(MsgKind.PA_SEED, seed), "pa-seed",
+                        lambda p: _parse_fixed(p, PA_SEED_BITS))
+    alice_new = privacy_amplify(BitString(alice_key), out_len, seed)
+    bob_new = privacy_amplify(BitString(bob_corrected), out_len, seed_at_bob)
     if alice_new != bob_new:
-        return finish("key-mismatch")
+        raise _Stop("key-mismatch")
 
-    alice_pool.refuel(alice_new)
-    bob_pool.refuel(bob_new)
+    res.alice_pool.refuel(alice_new)
+    res.bob_pool.refuel(bob_new)
     res.refueled = True
     res.distilled = alice_new
-    return finish()

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qident import auth, protocol2
 from qident.budget import (
@@ -30,6 +32,10 @@ from qident.protocol2 import (
     WireMessage,
     _build_announce,
     _parse_announce,
+    _parse_bases_bits,
+    _parse_fixed,
+    _parse_positions,
+    _parse_verdict,
     compute_out_len,
     default_pool_bits,
     error_correct,
@@ -86,6 +92,44 @@ class TestWireMessage:
         with pytest.raises(WireFormatError):
             WireMessage.from_bytes(good + b"\x00")  # frame size mismatch
 
+    @pytest.mark.parametrize("tag", [auth.M61, (1 << 64) - 1])
+    def test_out_of_range_tag_is_written_but_does_not_parse(self, tag):
+        frame = WireMessage(MsgKind.POSITIONS, BitString.zeros(8), tag).to_bytes()
+        assert frame[-8:] == tag.to_bytes(8, "big")
+        with pytest.raises(WireFormatError):
+            WireMessage.from_bytes(frame)
+
+    @given(st.one_of(st.binary(max_size=24), st.builds(
+        lambda kind, n_bits, data, tail: bytes([kind]) + n_bits.to_bytes(4, "big")
+        + data[: (n_bits + 7) // 8] + data[(n_bits + 7) // 8 :][:tail],
+        st.integers(0, 8), st.integers(0, 64), st.binary(min_size=16, max_size=16),
+        st.sampled_from([0, 8]))))
+    def test_arbitrary_bytes_parse_or_raise_wire_format_error(self, data):
+        # the second strategy builds frames whose length field mostly agrees
+        try:
+            msg = WireMessage.from_bytes(data)
+        except WireFormatError:
+            return
+        assert WireMessage.from_bytes(msg.to_bytes()) == msg
+
+
+PARSERS = {
+    "positions": lambda p: _parse_positions(p, 4, 2, 12),
+    "bases-bits": lambda p: _parse_bases_bits(p, 3),
+    "verdict": _parse_verdict,
+    "announce": lambda p: _parse_announce(p, 12),
+    "fixed": lambda p: _parse_fixed(p, 9),
+}
+
+
+@pytest.mark.parametrize("name", PARSERS)
+@given(bits=st.lists(st.integers(0, 1), max_size=40))
+def test_arbitrary_payloads_parse_or_raise_wire_format_error(name, bits):
+    try:
+        PARSERS[name](BitString(bits))
+    except WireFormatError:
+        pass
+
 
 class TestSizing:
     def test_position_field_bits(self):
@@ -140,28 +184,23 @@ class TestSubsetSelection:
 
 
 class TestAnnounceEncoding:
-    def test_entries_are_position_then_basis(self, rng):
-        w = position_field_bits(100_000)
-        pos = np.sort(rng.choice(100_000, size=50, replace=False))
-        bases = rng.integers(0, 2, 50, dtype=np.uint8)
-        payload = _build_announce(pos, bases, w)
-        assert payload.to01() == "".join(
-            format(int(p), f"0{w}b") + str(int(b)) for p, b in zip(pos, bases)
-        )
-        got_pos, got_bases = _parse_announce(payload, w, 100_000)
-        assert np.array_equal(got_pos, pos)
+    def test_map_then_bases_round_trip(self, rng):
+        detected = rng.random(100_000) < 0.0915
+        bases = rng.integers(0, 2, int(detected.sum()), dtype=np.uint8)
+        payload = _build_announce(detected, bases)
+        assert payload.bits.tolist() == detected.tolist() + bases.tolist()
+        got_pos, got_bases = _parse_announce(payload, 100_000)
+        assert np.array_equal(got_pos, np.flatnonzero(detected))
         assert np.array_equal(got_bases, bases)
 
     def test_malformed_payloads_raise_wire_format_error(self):
-        w = position_field_bits(100_000)
-        payload = _build_announce(np.array([3, 9, 40]), np.array([1, 0, 1]), w)
-        with pytest.raises(WireFormatError):
-            _parse_announce(payload[:-1], w, 100_000)
-        with pytest.raises(WireFormatError):
-            _parse_announce(payload, w, 40)
-        reordered = payload[w + 1 :] + payload[: w + 1]
-        with pytest.raises(WireFormatError):
-            _parse_announce(reordered, w, 100_000)
+        detected = np.zeros(50, dtype=bool)
+        detected[[3, 9, 40]] = True
+        payload = _build_announce(detected, np.array([1, 0, 1]))
+        assert len(payload) == 53
+        for bad in (payload[:-1], payload + BitString.zeros(1), payload.flipped(20)):
+            with pytest.raises(WireFormatError):
+                _parse_announce(bad, 50)
 
 
 class TestErrorCorrection:
@@ -536,10 +575,6 @@ class TestHonestSession:
         assert res.refueled
         assert res.n_key == res.n_sifted - res.s_real > 0
 
-    def test_pa_seed_bits_must_be_positive(self):
-        with pytest.raises(ValueError):
-            run_protocol2(SMALL, seed=4, pa_seed_bits=0)
-
     def test_pools_must_come_in_pairs(self):
         pool, _ = make_pools(60_000)
         with pytest.raises(ValueError):
@@ -577,6 +612,15 @@ class TestHonestSession:
         else:
             pytest.fail("no refuelled 1e5-pulse session with a low sample count")
         assert hints[-1] == max(res.eps_est, 1e-4)
+
+    @pytest.mark.parametrize("n_pulses, pinned", [
+        (100_000, (991, 4, 213, 1633, -36675, "2320eba108b12bff")),
+        (3_000_000, (977, 4, 6962, 57513, 9201, "0d881821c0cd6ed5")),
+    ], ids=["desk", "mid"])
+    def test_honest_canary_sessions_pinned(self, n_pulses, pinned):
+        res = run_protocol2(replace(REFERENCE, n_pulses=n_pulses), seed=20260819)
+        digest = hashlib.sha256(res.distilled.to_bytes()).hexdigest()[:16]
+        assert (res.s_real, res.k, res.leak, res.out_len, res.net, digest) == pinned
 
     def test_too_few_detections(self):
         tiny = replace(REFERENCE, n_pulses=5000)
@@ -642,6 +686,8 @@ class TestAdversaries:
         assert res.refueled is False
         assert res.refuel_reason == "verdict-reject"
         assert res.eps_est > 0.15
+        # identified peers send no ABORT
+        assert [m.kind for m in res.transcript] == list(protocol2.AUTHENTICATED_KINDS)
 
     def test_sifting_mitm_defeated_at_first_tag(self):
         res = run_protocol2(SMALL, seed=9, adversary=sifting_mitm_script(seed=9))
@@ -673,9 +719,9 @@ class TestAdversaries:
         assert res.refuel_reason == "coincidence-structure"
         assert_pools_mirrored(res)
 
-    def test_pa_seed_tamper_is_harmless_broadcast(self):
-        # both parties hash with whatever seed arrives, so rewriting it
-        # cannot desynchronize them
+    def test_pa_seed_tamper_ends_in_key_mismatch(self):
+        # each party hashes with its own copy of the seed, so a rewritten
+        # seed leaves the keys different and nothing is refuelled
         gen = make_rng(99)
 
         def tamper(msg):
@@ -684,7 +730,8 @@ class TestAdversaries:
             return None
 
         res = run_protocol2(SMALL, seed=12, adversary=AdversaryScript(tamper=tamper))
-        assert res.identified and res.refueled
+        assert res.identified and not res.refueled and res.distilled is None
+        assert res.refuel_reason == "key-mismatch"
         assert_pools_mirrored(res)
 
     @pytest.mark.parametrize("seed_len", [0, 64, 129])
@@ -700,4 +747,31 @@ class TestAdversaries:
         assert res.identified is True
         assert res.refueled is False and res.distilled is None
         assert res.refuel_reason == "pa-seed-structure"
+        assert_pools_mirrored(res)
+
+    @pytest.mark.parametrize("kind, relabel, tag, stage", [
+        (MsgKind.POSITIONS, MsgKind.BASIS_ANNOUNCE, None, "positions-structure"),
+        (MsgKind.BASES_AND_BITS, MsgKind.COINCIDENCE, None, "bases-bits-structure"),
+        (MsgKind.FINAL_VERDICT, MsgKind.ABORT, None, "verdict-structure"),
+        (MsgKind.BASIS_ANNOUNCE, MsgKind.PA_SEED, None, "announce-structure"),
+        (MsgKind.COINCIDENCE, MsgKind.POSITIONS, 0, "coincidence-structure"),
+        (MsgKind.PA_SEED, MsgKind.BASES_AND_BITS, 0, "pa-seed-structure"),
+        (MsgKind.POSITIONS, MsgKind.POSITIONS, (1 << 64) - 1, "positions-structure"),
+        (MsgKind.BASES_AND_BITS, MsgKind.BASES_AND_BITS, auth.M61, "bases-bits-structure"),
+        (MsgKind.FINAL_VERDICT, MsgKind.FINAL_VERDICT, (1 << 64) - 1, "verdict-structure"),
+    ], ids=[f"relabel-{k.name}" for k in MsgKind if k is not MsgKind.ABORT]
+        + [f"tag-{k.name}" for k in protocol2.AUTHENTICATED_KINDS])
+    def test_relabelled_or_out_of_range_frames_fail_closed(self, kind, relabel, tag, stage):
+        def tamper(msg):
+            if msg.kind is kind:
+                return WireMessage(relabel, msg.payload, tag)
+            return None
+
+        res = run_protocol2(SMALL, seed=12, adversary=AdversaryScript(tamper=tamper))
+        assert not res.refueled and res.distilled is None
+        if kind in protocol2.AUTHENTICATED_KINDS:
+            assert not res.identified and res.aborted_at == stage
+            assert res.transcript[-1].kind is MsgKind.ABORT
+        else:
+            assert res.identified and res.refuel_reason == stage
         assert_pools_mirrored(res)
