@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,8 +66,6 @@ __all__ = [
     "tag_message",
     "authenticate",
     "verify",
-    "tag_to_bytes",
-    "tag_from_bytes",
     "format_vector_line",
     "parse_vector_line",
 ]
@@ -75,8 +74,6 @@ M61 = (1 << 61) - 1
 WORD_BITS = 61
 PRODUCTION_WORDS = 739
 PRODUCTION_KEY_BITS = PRODUCTION_WORDS * WORD_BITS  # 45_079
-
-TAG_BYTES = 8
 
 
 class MessageTooLong(QidentError):
@@ -132,17 +129,17 @@ def _check_encoding_modulus(p: int) -> int:
     return w
 
 
+@dataclass(frozen=True)
 class AuthParams:
     """Field modulus p (prime) and word count d (>= 2) of one key."""
 
-    __slots__ = ("p", "d")
+    p: int = M61
+    d: int = PRODUCTION_WORDS
 
-    def __init__(self, p: int = M61, d: int = PRODUCTION_WORDS):
-        _check_modulus(p)
-        if d < 2:
+    def __post_init__(self):
+        _check_modulus(self.p)
+        if self.d < 2:
             raise ValueError("need at least two words (sentinel + payload)")
-        self.p = p
-        self.d = d
 
     @property
     def word_bits(self) -> int:
@@ -156,12 +153,6 @@ class AuthParams:
     @property
     def max_message_bits(self) -> int:
         return max_message_bits(self.d, self.p)
-
-    def __repr__(self) -> str:
-        return f"AuthParams(p={self.p}, d={self.d})"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AuthParams) and (self.p, self.d) == (other.p, other.d)
 
 
 def words_needed(n_bits: int, p: int = M61) -> int:
@@ -345,23 +336,6 @@ def verify(bits: BitString, tag: int, key, p: int = M61) -> bool:
         return authenticate(bits, key, p) == int(tag)
     except MessageTooLong:
         return False
-
-
-def tag_to_bytes(tag: int) -> bytes:
-    """Tag as a fixed 8-byte big-endian field (61 significant bits,
-    top 3 bits zero)."""
-    if not 0 <= tag < M61:
-        raise ValueError("tag out of range for the production modulus")
-    return int(tag).to_bytes(TAG_BYTES, "big")
-
-
-def tag_from_bytes(data: bytes) -> int:
-    if len(data) != TAG_BYTES:
-        raise ValueError(f"tag field must be {TAG_BYTES} bytes")
-    tag = int.from_bytes(data, "big")
-    if tag >= M61:
-        raise ValueError("tag exceeds the production modulus")
-    return tag
 
 
 # -- test-vector file format -------------------------------------------

@@ -3,8 +3,8 @@ behaviour, eavesdropper information curves, and the secret-bit budget of
 the authenticated public-channel protocol, including intensity
 optimization and the break-even pulse count.
 
-All probability arithmetic is done in log space; quantities that can fall
-below 1e-300 are exposed through explicit ``log_*`` variants.
+All probability arithmetic is done in log space; the impersonation bound,
+which can fall below 1e-300, is exposed only in log form.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ __all__ = [
     "AllZero",
     "NeverBreaksEven",
     "BudgetParams",
-    "DeceptionParams",
     "binary_entropy",
+    "tolerance",
     "deception_probability_exact",
-    "deception_probability_bound",
     "log_deception_probability_bound",
     "critical_guess_probability",
     "critical_guess_probability_finite",
@@ -34,6 +33,7 @@ __all__ = [
     "channel_mutual_info",
     "guess_probability_from_info",
     "error_rate_upper_bound",
+    "position_bits",
     "min_initial_secret_bits",
     "expected_sifted_len",
     "corrected_len",
@@ -41,6 +41,7 @@ __all__ = [
     "distilled_terms",
     "distilled_len",
     "distilled_per_pulse",
+    "default_mu_grid",
     "optimize_intensity",
     "NEVER",
     "break_even_grid",
@@ -78,30 +79,14 @@ def _log_choose(n: int, k: int) -> float:
 # -- impersonation probability ---------------------------------------
 
 
-@dataclass(frozen=True)
-class DeceptionParams:
-    """Inputs of an impersonation attempt against one identification pass.
-
-    n_is: length of the identification sequence.
-    eps: tolerance rate; up to strict_ceil(eps * n_is) wrong bits pass.
-    p_bar: geometric-mean per-bit guess probability (bound route), or
-    p_list: the full per-bit guess probability vector (exact route).
-    """
-
-    n_is: int
-    eps: float
-    p_bar: float | None = None
-    p_list: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.n_is < 1:
-            raise ValueError("n_is must be positive")
-        if not 0.0 <= self.eps < 1.0:
-            raise ValueError("eps must be in [0, 1)")
-
-    @property
-    def k(self) -> int:
-        return strict_ceil(self.eps * self.n_is)
+def tolerance(n_is: int, eps: float) -> int:
+    """Wrong bits an identification pass of n_is bits accepts at
+    tolerance rate eps: strict_ceil(eps * n_is)."""
+    if n_is < 1:
+        raise ValueError("n_is must be positive")
+    if not 0.0 <= eps < 1.0:
+        raise ValueError("eps must be in [0, 1)")
+    return strict_ceil(eps * n_is)
 
 
 def deception_probability_exact(p_list, k: int) -> float:
@@ -131,29 +116,18 @@ def deception_probability_exact(p_list, k: int) -> float:
 
 def log_deception_probability_bound(n_is: int, eps: float, p_bar: float) -> float:
     """Natural log of the closed-form upper bound
-    p_bar**N * 2**k * C(N, k) with k = strict_ceil(eps * N).
+    p_bar**N * 2**k * C(N, k) with k = tolerance(N, eps).
 
     Valid for p_bar in [1/2, 1]; the bound is crude for small N but decays
     geometrically once p_bar falls below the critical guess probability.
+    Its exponential underflows to 0.0 below about 1e-308.
     """
-    if n_is < 1:
-        raise ValueError("n_is must be positive")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError("eps must be in [0, 1)")
+    k = tolerance(n_is, eps)
     if not 0.5 <= p_bar <= 1.0:
         raise ValueError("the bound requires p_bar in [1/2, 1]")
-    k = strict_ceil(eps * n_is)
     if k > n_is:
         return 0.0  # probability 1: every outcome has at most N errors
     return n_is * math.log(p_bar) + k * LN2 + _log_choose(n_is, k)
-
-
-def deception_probability_bound(n_is: int, eps: float, p_bar: float) -> float:
-    """Linear-scale version of log_deception_probability_bound.
-
-    Underflows to 0.0 below about 1e-308; use the log variant there.
-    """
-    return math.exp(log_deception_probability_bound(n_is, eps, p_bar))
 
 
 def critical_guess_probability(eps: float) -> float:
@@ -172,7 +146,7 @@ def critical_guess_probability_finite(eps: float, n: int) -> float:
     threshold; converges to critical_guess_probability as n grows."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    k = strict_ceil(eps * n)
+    k = tolerance(n, eps)
     return math.exp(-(k * LN2 + _log_choose(n, k)) / n)
 
 
@@ -355,25 +329,36 @@ class BudgetParams:
         )
 
 
+# 2**0 .. 2**62: the bit length of a positive int64 is how many of them
+# it reaches
+_POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
+
+
+def position_bits(n_pulses):
+    """Width of one pulse-position field: the bit length of N, which is
+    strict_ceil(log2 N), counted exactly rather than through a float
+    logarithm.  n_pulses may be an integer array, and the result then
+    has its shape."""
+    width = np.searchsorted(_POWERS_OF_TWO, n_pulses, side="right")
+    return int(width) if width.ndim == 0 else width
+
+
 def min_initial_secret_bits(n_pulses, s: int, a: int):
     """Secret bits consumed by one session's three authenticated messages:
-    2s*(strict_ceil(log2 N) + 2) + 32 + 3a.
+    2s*(position_bits(N) + 2) + 32 + 3a.
 
     Each message costs key material roughly equal to its length plus one
-    tag; the three payloads are 2s*strict_ceil(log2 N) position bits,
-    4s basis-and-value bits and a 32-bit verdict.  n_pulses may be an
-    integer array, and the result then has its shape.  strict_ceil(log2 N)
-    is the bit length of N, read exactly from its binary exponent.
+    tag; the three payloads are 2s*position_bits(N) position bits, 4s
+    basis-and-value bits and a 32-bit verdict.  n_pulses may be an
+    integer array, and the result then has its shape.
     """
     n = np.asarray(n_pulses, dtype=np.int64)
     if np.any(n < 2):
         raise ValueError("n_pulses must be at least 2")
     if s < 0 or a < 0:
         raise ValueError("s and a must be non-negative")
-    width = np.frexp(n.astype(float))[1].astype(np.int64)
-    width -= (n >> (width - 1)) == 0  # N rounded up to a power of two as a float
-    bits = 2 * s * (width + 2) + 32 + 3 * a
-    return int(bits) if bits.ndim == 0 else bits
+    bits = 2 * s * (position_bits(n) + 2) + 32 + 3 * a
+    return int(bits) if np.ndim(bits) == 0 else bits
 
 
 def expected_sifted_len(params: BudgetParams) -> float:

@@ -18,9 +18,9 @@ Eavesdropper models:
   give Bob a fair coin, so a full intercept adds 25 percentage points of
   sifted error.
 * BEAMSPLIT - passive multi-photon tap.  No disturbance; each sifted bit
-  is known to Eve with probability fraction * mu / (4 * eta_tl), the
-  multi-photon share that the line loss hands an adversary sitting at
-  the transmitter output.
+  is known to Eve with probability fraction * mu / (4 * eta_tl), capped
+  at one: the multi-photon share that the line loss hands an adversary
+  sitting at the transmitter output.
 * PER_BIT_GUESS - abstract adversary who guesses each sifted bit with a
   fixed success probability; bookkeeping for deception-bound studies,
   no channel effect.
@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,14 +70,11 @@ class EveParams:
     the multi-photon tap exploited (BEAMSPLIT).
     guess_prob: per-bit success probability for PER_BIT_GUESS, in
     [0.5, 1].
-    tap_know_prob: test hook overriding the derived BEAMSPLIT per-bit
-    knowledge probability.
     """
 
     strategy: EveStrategy = EveStrategy.NONE
     fraction: float = 1.0
     guess_prob: float | None = None
-    tap_know_prob: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
@@ -85,8 +82,6 @@ class EveParams:
         if self.strategy is EveStrategy.PER_BIT_GUESS:
             if self.guess_prob is None or not 0.5 <= self.guess_prob <= 1.0:
                 raise ValueError("PER_BIT_GUESS needs guess_prob in [0.5, 1]")
-        if self.tap_know_prob is not None and not 0.0 <= self.tap_know_prob <= 1.0:
-            raise ValueError("tap_know_prob must lie in [0, 1]")
 
 
 def detection_probability(params: BudgetParams) -> float:
@@ -99,33 +94,28 @@ def expected_sifted_count(params: BudgetParams) -> float:
     return 0.5 * params.n_pulses * detection_probability(params)
 
 
+@dataclass(eq=False, repr=False)
 class QkdRun:
     """Complete transcript of one simulated run.
 
     Per-pulse arrays cover all n_pulses slots; bob_bits is only
-    meaningful where bob_detected is set.
+    meaningful where bob_detected is set, and eve_known is the BEAMSPLIT
+    tap mask (None for every other model).  Runs compare by identity.
     """
 
-    def __init__(
-        self,
-        params: BudgetParams,
-        eve: EveParams,
-        alice_bits: np.ndarray,
-        alice_bases: np.ndarray,
-        bob_bases: np.ndarray,
-        bob_detected: np.ndarray,
-        bob_bits: np.ndarray,
-        eve_known: np.ndarray | None,
-    ):
-        self.params = params
-        self.eve = eve
-        self.alice_bits = alice_bits
-        self.alice_bases = alice_bases
-        self.bob_bases = bob_bases
-        self.bob_detected = bob_detected
-        self.bob_bits = bob_bits
-        self._eve_known = eve_known
-        self.sifted_idx = np.flatnonzero(bob_detected & (alice_bases == bob_bases))
+    params: BudgetParams
+    eve: EveParams
+    alice_bits: np.ndarray
+    alice_bases: np.ndarray
+    bob_bases: np.ndarray
+    bob_detected: np.ndarray
+    bob_bits: np.ndarray
+    eve_known: np.ndarray | None
+    sifted_idx: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.sifted_idx = np.flatnonzero(
+            self.bob_detected & (self.alice_bases == self.bob_bases))
 
     @property
     def n_detected(self) -> int:
@@ -149,9 +139,9 @@ class QkdRun:
     def eve_known_sifted(self) -> np.ndarray:
         """Boolean mask over the sifted set: bits Eve knows outright.
         Only the BEAMSPLIT model tracks such a mask."""
-        if self._eve_known is None:
+        if self.eve_known is None:
             return np.zeros(self.n_sifted, dtype=bool)
-        return self._eve_known[self.sifted_idx]
+        return self.eve_known[self.sifted_idx]
 
     def eve_information_bits(self) -> float:
         """Adversary knowledge of the sifted string, in bits.
@@ -172,13 +162,6 @@ class QkdRun:
             f"no information accounting for {s.value}; disturbance models "
             "are handled by the error estimate"
         )
-
-
-def beamsplit_know_prob(params: BudgetParams, eve: EveParams) -> float:
-    """Per-pulse probability that a passive tap learns the bit."""
-    if eve.tap_know_prob is not None:
-        return eve.tap_know_prob
-    return min(1.0, eve.fraction * params.mu / (4.0 * params.eta_tl))
 
 
 def run_qkd(
@@ -232,7 +215,8 @@ def run_qkd(
             garbled, alice_bits ^ refl.astype(np.uint8), bob_bits
         ).astype(np.uint8)
     elif eve.strategy is EveStrategy.BEAMSPLIT:
-        eve_known = rng_eve.random(n) < beamsplit_know_prob(params, eve)
+        # a tap probability above one (a very lossy line) taps every pulse
+        eve_known = rng_eve.random(n) < eve.fraction * params.mu / (4.0 * params.eta_tl)
 
     bob_bits = np.where(detected, bob_bits, 0).astype(np.uint8)
 

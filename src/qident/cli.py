@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
+import string
 import sys
 from dataclasses import fields, replace
 
@@ -247,12 +249,12 @@ def cmd_deception(args, cfg) -> int:
     p_bar_pt = cfg.get("p_bar")
     if p_bar_pt is None:
         p_bar_pt = 0.5 + (eps_pt * (1.0 - eps_pt)) ** 0.5  # optimal-attack rate
-    dp = budget.DeceptionParams(n_is=n_is, eps=eps_pt, p_bar=p_bar_pt)
-    exact_pt = budget.deception_probability_exact([p_bar_pt] * n_is, dp.k)
-    _say(f"n_is={n_is} eps={eps_pt} k={dp.k} p_bar={p_bar_pt:.6f}")
+    k = budget.tolerance(n_is, eps_pt)
+    exact_pt = budget.deception_probability_exact([p_bar_pt] * n_is, k)
+    bound_pt = math.exp(budget.log_deception_probability_bound(n_is, eps_pt, p_bar_pt))
+    _say(f"n_is={n_is} eps={eps_pt} k={k} p_bar={p_bar_pt:.6f}")
     _say(f"exact deception probability  {exact_pt:.6e}")
-    _say(f"closed-form bound            "
-         f"{budget.deception_probability_bound(n_is, eps_pt, p_bar_pt):.6e}")
+    _say(f"closed-form bound            {bound_pt:.6e}")
     _say(f"critical guess probability   {budget.critical_guess_probability(eps_pt):.6f}")
     _say(f"defendable information limit {budget.info_limit(eps_pt):.6f} bits/bit")
     _say(f"optimal attack information   {budget.optimal_attack_info(eps_pt):.6f} bits/bit")
@@ -270,9 +272,7 @@ def cmd_deception(args, cfg) -> int:
             budget.optimal_attack_info(eps),
             budget.info_limit(eps),
             budget.deception_probability_exact(
-                [min(p_bar, 1.0)] * n_is,
-                budget.DeceptionParams(n_is=n_is, eps=eps, p_bar=min(p_bar, 1.0)).k,
-            ),
+                [min(p_bar, 1.0)] * n_is, budget.tolerance(n_is, eps)),
         ))
     _emit(args, cfg, ["n_is", "eps", "p_crit", "channel_info", "attack_info",
                       "info_limit", "deception_exact"], rows)
@@ -363,6 +363,15 @@ def _parse_bits(text: str, what: str) -> BitString:
         raise ConfigError(f"bad {what}: {e}") from None
 
 
+def _parse_tag(text: str) -> int:
+    """A tag as auth-tag prints it: 16 hex digits, below 2**61 - 1."""
+    if len(text) == 16 and all(c in string.hexdigits for c in text):
+        tag = int(text, 16)
+        if tag < auth.M61:
+            return tag
+    raise ConfigError(f"bad tag '{text}': need 16 hex digits below 2**61 - 1")
+
+
 def _iter_vectors(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
@@ -381,16 +390,14 @@ def _iter_vectors(path: str):
 def cmd_auth_tag(args, cfg) -> int:
     if args.vectors:
         for _, (params, key, msg, _) in _iter_vectors(args.vectors):
-            tag = auth.tag_message(key, auth.encode_message(msg, params.d, params.p),
-                                   params.p)
+            tag = auth.authenticate(msg, key, params.p)
             print(auth.format_vector_line(params, key, msg, tag))
         return 0
     message = _parse_bits(args.message, "message")
     key_bits = _parse_bits(args.key, "key")
     n_words = args.words or auth.words_needed(len(message))
     key, _ = auth.key_from_bits(key_bits, n_words)
-    tag = auth.authenticate(message, key)
-    print(auth.tag_to_bytes(tag).hex())
+    print(f"{auth.authenticate(message, key):016x}")
     return 0
 
 
@@ -398,19 +405,13 @@ def cmd_auth_verify(args, cfg) -> int:
     if args.vectors:
         bad = 0
         for ln, (params, key, msg, tag) in _iter_vectors(args.vectors):
-            expected = auth.tag_message(
-                key, auth.encode_message(msg, params.d, params.p), params.p
-            )
-            ok = expected == tag
+            ok = auth.authenticate(msg, key, params.p) == tag
             bad += not ok
             print(f"line {ln}: {'ok' if ok else 'BAD'}")
         return 1 if bad else 0
     message = _parse_bits(args.message, "message")
     key_bits = _parse_bits(args.key, "key")
-    try:
-        tag = auth.tag_from_bytes(bytes.fromhex(args.tag))
-    except ValueError as e:
-        raise ConfigError(f"bad tag: {e}") from None
+    tag = _parse_tag(args.tag)
     n_words = args.words or auth.words_needed(len(message))
     key, _ = auth.key_from_bits(key_bits, n_words)
     if auth.verify(message, tag, key):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
+from .budget import tolerance
 from .core import (
     BitString,
     PoolExhausted,
@@ -31,7 +32,6 @@ from .core import (
     make_rng,
     pointer_sync,
     random_bitstring,
-    strict_ceil,
 )
 
 __all__ = [
@@ -40,14 +40,11 @@ __all__ = [
     "Protocol1Params",
     "Party1State",
     "Protocol1Result",
-    "compare_with_tolerance",
     "make_shared_triads",
-    "fabricated_triads",
     "run_protocol1",
     "run_trials",
     "run_sessions",
     "TRIAL_CHUNK",
-    "eve_impersonation_trial",
     "eve_impersonation_frequency",
     "expected_success_probability",
     "impostor_pass_probability",
@@ -83,18 +80,11 @@ class Protocol1Params:
     def k(self) -> int:
         """Accept at Hamming distance up to k, the smallest integer
         strictly above the expected noise."""
-        return strict_ceil(self.n_is * self.eps)
+        return tolerance(self.n_is, self.eps)
 
     @property
     def triad_bits(self) -> int:
         return 3 * self.n_is
-
-
-def compare_with_tolerance(a: BitString, b: BitString, k: int) -> bool:
-    """True iff the strings agree except for at most k positions."""
-    if k < 0:
-        raise ValueError("tolerance must be non-negative")
-    return a.hamming(b) <= k
 
 
 @dataclass
@@ -124,7 +114,7 @@ class Party1State:
     def accepts(self, received: BitString, own: BitString, k: int) -> bool:
         if not self.honest:
             return True  # nothing to check against
-        return compare_with_tolerance(received, own, k)
+        return received.hamming(own) <= k
 
 
 def make_shared_triads(
@@ -140,13 +130,6 @@ def make_shared_triads(
         )
         for _ in range(n_triads)
     ]
-
-
-def fabricated_triads(
-    n_triads: int, params: Protocol1Params, rng: np.random.Generator
-) -> list[Triad]:
-    """What an impostor brings: random guesses, one per session."""
-    return make_shared_triads(n_triads, params, rng)
 
 
 @dataclass
@@ -306,12 +289,12 @@ def run_sessions(
     counts = {o: 0 for o in IdentOutcome}
     for _ in range(n_sessions):
         shared = make_shared_triads(1, params, rng)
-        if impostor == "initiator":
-            alice = Party1State(fabricated_triads(1, params, rng), Role.ALICE, honest=False)
+        if impostor == "initiator":  # an impostor brings random guesses
+            alice = Party1State(make_shared_triads(1, params, rng), Role.ALICE, honest=False)
             bob = Party1State(shared, Role.BOB)
         elif impostor == "responder":
             alice = Party1State(shared, Role.ALICE)
-            bob = Party1State(fabricated_triads(1, params, rng), Role.BOB, honest=False)
+            bob = Party1State(make_shared_triads(1, params, rng), Role.BOB, honest=False)
         else:
             alice = Party1State(list(shared), Role.ALICE)
             bob = Party1State(list(shared), Role.BOB)
@@ -320,38 +303,25 @@ def run_sessions(
     return counts
 
 
-def eve_impersonation_trial(
-    eve_bit_probs, params: Protocol1Params, rng: np.random.Generator
-) -> bool:
-    """One Monte-Carlo impersonation attempt against a single sequence.
-
-    Eve guesses each bit of a fresh random sequence independently with
-    the given per-bit success probabilities; the trial succeeds when her
-    guess passes the tolerance test.
-    """
-    probs = np.asarray(eve_bit_probs, dtype=float)
-    if probs.shape != (params.n_is,):
-        raise ValueError(f"need exactly {params.n_is} per-bit probabilities")
-    if probs.min() < 0.0 or probs.max() > 1.0:
-        raise ValueError("probabilities must lie in [0, 1]")
-    true_is = random_bitstring(params.n_is, rng)
-    wrong = (rng.random(params.n_is) >= probs).astype(np.uint8)
-    guess = BitString(true_is.bits ^ wrong)
-    return compare_with_tolerance(guess, true_is, params.k)
-
-
 def eve_impersonation_frequency(
     eve_bit_probs,
     params: Protocol1Params,
     n_trials: int,
     rng: np.random.Generator | int = 0,
 ) -> float:
-    """Vectorized success frequency of eve_impersonation_trial over
-    n_trials attempts, drawn TRIAL_CHUNK rows at a time."""
+    """Monte-Carlo success frequency of impersonating one sequence.
+
+    In each of n_trials attempts Eve guesses each of the n_is bits
+    independently, bit i correctly with probability eve_bit_probs[i],
+    and succeeds when at most params.k guesses are wrong.  The attempts
+    are drawn TRIAL_CHUNK rows at a time.
+    """
     rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
     probs = np.asarray(eve_bit_probs, dtype=float)
     if probs.ndim != 1 or probs.size != params.n_is:
         raise ValueError(f"need exactly {params.n_is} per-bit probabilities")
+    if not np.all((probs >= 0.0) & (probs <= 1.0)):  # NaN fails both
+        raise ValueError("probabilities must lie in [0, 1]")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
     k = params.k

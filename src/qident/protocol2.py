@@ -61,6 +61,7 @@ from .budget import (
     corrected_len,
     distilled_len,
     expected_sifted_len,
+    position_bits,
 )
 from .channel import EveParams, EveStrategy, run_qkd
 from .core import (
@@ -73,7 +74,6 @@ from .core import (
     pointer_sync,
     random_bitstring,
     spawn_streams,
-    strict_ceil,
     unpack_uints,
 )
 from .estimation import NoSolution, solve_eps_limit
@@ -109,6 +109,7 @@ class MsgKind(enum.IntEnum):
 
 
 AUTHENTICATED_KINDS = (MsgKind.POSITIONS, MsgKind.BASES_AND_BITS, MsgKind.FINAL_VERDICT)
+TAG_BYTES = 8  # the tag field of an authenticated frame
 
 
 class WireFormatError(QidentError):
@@ -138,7 +139,7 @@ class WireMessage:
         tamper hook can put an out-of-range tag on the wire."""
         head = bytes([self.kind]) + len(self.payload).to_bytes(4, "big")
         body = self.payload.to_bytes()
-        tail = b"" if self.tag is None else int(self.tag).to_bytes(auth.TAG_BYTES, "big")
+        tail = b"" if self.tag is None else int(self.tag).to_bytes(TAG_BYTES, "big")
         return head + body + tail
 
     @classmethod
@@ -151,7 +152,7 @@ class WireMessage:
             raise WireFormatError(f"unknown message kind {data[0]}") from None
         n_bits = int.from_bytes(data[1:5], "big")
         n_body = (n_bits + 7) // 8
-        n_tag = auth.TAG_BYTES if kind in AUTHENTICATED_KINDS else 0
+        n_tag = TAG_BYTES if kind in AUTHENTICATED_KINDS else 0
         if len(data) != 5 + n_body + n_tag:
             raise WireFormatError("length field disagrees with frame size")
         payload = BitString.from_bytes(data[5 : 5 + n_body], n_bits)
@@ -175,14 +176,9 @@ class AdversaryScript:
 # -- message sizing and key accounting --------------------------------
 
 
-def position_field_bits(n_pulses: int) -> int:
-    """Width of one position field: strict_ceil(log2(n_pulses))."""
-    return strict_ceil(math.log2(n_pulses))
-
-
 def message_bit_lengths(n_pulses: int, s: int) -> dict[MsgKind, int]:
     """Payload bit lengths of the three authenticated messages."""
-    w = position_field_bits(n_pulses)
+    w = position_bits(n_pulses)
     return {
         MsgKind.POSITIONS: 2 * s * w,
         MsgKind.BASES_AND_BITS: 4 * s,
@@ -657,7 +653,7 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     """The session's messages in order, recorded in res; raises _Stop
     at the first stage that fails and returns after a refuel."""
     n, s = params.n_pulses, params.s
-    w = position_field_bits(n)
+    w = position_bits(n)
     det_idx = np.flatnonzero(run.bob_detected)
 
     # B -> A: sample positions; A -> B: her bases and bits at them

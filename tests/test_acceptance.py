@@ -192,7 +192,7 @@ def test_criterion_8_deception_oracle_equivalence():
         n = int(rng.integers(1, 13))
         eps = float(rng.uniform(0.005, 0.35))
         p_bar = float(rng.uniform(0.5, 0.999))
-        k = budget.DeceptionParams(n_is=n, eps=eps, p_bar=p_bar).k
+        k = budget.tolerance(n, eps)
         exact = budget.deception_probability_exact([p_bar] * n, k)
         gap = abs(exact - brute_force_deception([p_bar] * n, k))
         # same instance with heterogeneous per-bit probabilities

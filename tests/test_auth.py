@@ -30,9 +30,7 @@ from qident.auth import (
     key_from_pool,
     max_message_bits,
     parse_vector_line,
-    tag_from_bytes,
     tag_message,
-    tag_to_bytes,
     verify,
     words_needed,
 )
@@ -354,19 +352,6 @@ class TestVerify:
         key = (1, 2)
         assert verify(BitString.zeros(100), 0, key) is False
 
-    def test_tag_bytes_roundtrip(self):
-        for tag in (0, 1, M61 - 1, 12345678901234567):
-            blob = tag_to_bytes(tag)
-            assert len(blob) == 8
-            assert tag_from_bytes(blob) == tag
-
-    def test_tag_bytes_range(self):
-        with pytest.raises(ValueError):
-            tag_to_bytes(M61)
-        with pytest.raises(ValueError):
-            tag_from_bytes(b"\xff" * 8)
-        with pytest.raises(ValueError):
-            tag_from_bytes(b"\x00" * 7)
 
 
 class TestVectorLines:

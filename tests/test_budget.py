@@ -19,7 +19,6 @@ from qident import budget
 from qident.budget import (
     AllZero,
     BudgetParams,
-    DeceptionParams,
     NeverBreaksEven,
     NoRoot,
     binary_entropy,
@@ -28,7 +27,6 @@ from qident.budget import (
     corrected_len,
     critical_guess_probability,
     critical_guess_probability_finite,
-    deception_probability_bound,
     deception_probability_exact,
     distilled_len,
     distilled_terms,
@@ -40,6 +38,8 @@ from qident.budget import (
     min_initial_secret_bits,
     optimal_attack_info,
     optimize_intensity,
+    position_bits,
+    tolerance,
 )
 
 
@@ -69,6 +69,20 @@ class TestBinaryEntropy:
         assert binary_entropy(p) == pytest.approx(binary_entropy(1 - p), abs=1e-12)
 
 
+class TestTolerance:
+    def test_smallest_count_strictly_above_the_expected_noise(self):
+        assert tolerance(50, 0.01) == 1  # 0.5 expected wrong bits
+        assert tolerance(100, 0.01) == 2  # exactly 1.0 expected
+        assert tolerance(100, 0.0) == 1
+        assert tolerance(1, 0.99) == 1
+
+    @pytest.mark.parametrize("n_is, eps", [(0, 0.1), (10, -0.1), (10, 1.0),
+                                           (10, float("nan"))])
+    def test_rejects_bad_arguments(self, n_is, eps):
+        with pytest.raises(ValueError):
+            tolerance(n_is, eps)
+
+
 class TestDeceptionExact:
     def test_matches_enumeration(self, rng):
         for _ in range(25):
@@ -93,9 +107,9 @@ class TestDeceptionExact:
             n = int(rng.integers(2, 13))
             eps = float(rng.uniform(0.0, 0.4))
             p_bar = float(rng.uniform(0.5, 1.0))
-            k = DeceptionParams(n_is=n, eps=eps, p_bar=p_bar).k
+            k = tolerance(n, eps)
             exact = deception_probability_exact([p_bar] * n, min(k, n))
-            bound = deception_probability_bound(n, eps, p_bar)
+            bound = math.exp(log_deception_probability_bound(n, eps, p_bar))
             assert bound >= exact - 1e-12
 
     def test_headline_bound_value(self):
@@ -579,6 +593,14 @@ class TestMinInitialSecretBitsArrays:
         n = [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]
         got = min_initial_secret_bits(np.array(n, dtype=np.int64), 7, 3)
         assert got.tolist() == [2 * 7 * (v.bit_length() + 2) + 32 + 9 for v in n]
+
+    def test_position_bits_is_the_bit_length(self):
+        n = [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]
+        assert [position_bits(v) for v in n] == [v.bit_length() for v in n]
+        assert all(isinstance(position_bits(v), int) for v in n)
+        got = position_bits(np.array(n, dtype=np.int64))
+        assert got.shape == (len(n),)
+        assert got.tolist() == [v.bit_length() for v in n]
 
     def test_rejects_short_sessions_in_arrays(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,6 @@ from qident.channel import (
     EveParams,
     EveStrategy,
     UnsupportedStrategy,
-    beamsplit_know_prob,
     detection_probability,
     expected_sifted_count,
     run_qkd,
@@ -76,8 +75,6 @@ class TestParams:
             EveParams(strategy=EveStrategy.PER_BIT_GUESS)  # no guess_prob
         with pytest.raises(ValueError):
             EveParams(strategy=EveStrategy.PER_BIT_GUESS, guess_prob=0.4)
-        with pytest.raises(ValueError):
-            EveParams(tap_know_prob=1.2)
 
 
 class TestHonestRun:
@@ -159,22 +156,19 @@ class TestPassiveAdversaries:
     def test_beamsplit_knowledge_rate(self):
         eve = EveParams(strategy=EveStrategy.BEAMSPLIT)
         run = run_qkd(PARAMS, seed=7, eve=eve)
-        know_p = beamsplit_know_prob(PARAMS, eve)
-        assert know_p == pytest.approx(0.8 / (4.0 * 0.63))
+        know_p = 0.8 / (4.0 * 0.63)  # mu / (4 eta_tl) at the full fraction
         known = int(run.eve_known_sifted().sum())
         assert within_4_sigma(known, run.n_sifted, know_p)
         assert run.eve_information_bits() == known
 
-    def test_beamsplit_override_hook(self):
-        eve = EveParams(strategy=EveStrategy.BEAMSPLIT, tap_know_prob=0.5)
-        assert beamsplit_know_prob(PARAMS, eve) == 0.5
-        run = run_qkd(PARAMS, seed=8, eve=eve)
-        assert within_4_sigma(run.eve_information_bits(), run.n_sifted, 0.5)
-
     def test_beamsplit_probability_saturates(self):
+        # mu / (4 eta_tl) = 20 on this line: Eve knows every sifted bit
         eve = EveParams(strategy=EveStrategy.BEAMSPLIT)
-        leaky = replace(PARAMS, n_pulses=10, eta_tl=0.01)
-        assert beamsplit_know_prob(leaky, eve) == 1.0
+        leaky = replace(PARAMS, n_pulses=20_000, eta_tl=0.01)
+        run = run_qkd(leaky, seed=8, eve=eve)
+        assert run.n_sifted > 0
+        assert run.eve_known_sifted().all()
+        assert run.eve_known.all()
 
     def test_per_bit_guess_information(self):
         eve = EveParams(strategy=EveStrategy.PER_BIT_GUESS, guess_prob=0.6)

@@ -370,6 +370,32 @@ class TestAuthCommands:
         assert code == 1
         assert "INVALID" in out
 
+    def test_tag_printed_as_16_zero_padded_hex_digits(self, capsys):
+        msg, key = self.make_single_args()
+        code, out, _ = run_cli(capsys, "auth-tag", "--message", msg, "--key", key)
+        words, _ = auth.key_from_bits(BitString.from_text(key), auth.words_needed(64))
+        assert code == 0
+        assert out == f"{auth.authenticate(BitString.from_text(msg), words):016x}\n"
+        zero_key = "244:" + "0" * 62  # every key word 0, so the tag is 0
+        code, out, _ = run_cli(capsys, "auth-tag", "--message", msg, "--key", zero_key)
+        assert (code, out) == (0, "0" * 16 + "\n")
+        code, out, _ = run_cli(capsys, "auth-verify", "--message", msg,
+                               "--key", zero_key, "--tag", "0" * 16)
+        assert (code, out) == (0, "tag valid\n")
+
+    @pytest.mark.parametrize("tag", [
+        "0" * 15, "0" * 17, "00000000000000g0", "0x00000000000001",
+        format(auth.M61, "016x"), "f" * 16,
+    ])
+    def test_verify_rejects_malformed_tag(self, capsys, tag):
+        msg, key = self.make_single_args()
+        code, out, err = run_cli(
+            capsys, "auth-verify", "--message", msg, "--key", key, "--tag", tag
+        )
+        assert code == 2
+        assert out == ""
+        assert "bad tag" in err
+
     def test_missing_flags(self, capsys):
         code, _, err = run_cli(capsys, "auth-tag", "--message", "4:a0")
         assert code == 2

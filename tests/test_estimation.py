@@ -1,8 +1,9 @@
 """Error-rate certification oracles.
 
-The Beta-function route and the direct quadrature route are written
-against the same posterior but share no code path below the density
-definition, so their agreement is the main correctness check here.
+The library's Beta-function route and the direct quadrature route below
+are written against the same posterior but share no code path below the
+density definition, so their agreement is the main correctness check
+here.
 """
 
 import math
@@ -10,16 +11,63 @@ import math
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate, special
 
+from qident.core import QidentError
 from qident.estimation import (
     NoSolution,
-    NumericalFailure,
     acceptable_error_count,
     likelihood,
     posterior_tail,
-    posterior_tail_quadrature,
     solve_eps_limit,
 )
+
+
+class NumericalFailure(QidentError):
+    """Quadrature failed to reach the demanded relative accuracy."""
+
+
+def posterior_tail_quadrature(
+    s: float, eps_est: float, eps_max: float, rel_tol: float = 1e-9
+) -> float:
+    """posterior_tail by direct quadrature of the normalized posterior
+    density, as an independent cross-check of the Beta-function route.
+
+    The density is evaluated in log-space relative to its value at
+    eps_max, which keeps the integrand in floating range even when the
+    tail mass is far below double precision of the total."""
+    if s <= 0:
+        raise ValueError("s must be positive")
+    if not 0.0 <= eps_est <= 1.0:
+        raise ValueError("eps_est must lie in [0, 1]")
+    if not 0.0 < eps_max < 1.0:
+        raise ValueError("eps_max must lie in (0, 1)")
+    a = s * eps_est + 1.0
+    b = s * (1.0 - eps_est) + 1.0
+
+    def log_density(x: float) -> float:
+        if x <= 0.0 or x >= 1.0:
+            return -math.inf
+        return (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+
+    log_norm = special.betaln(a, b)
+    ref = log_density(eps_max)
+
+    def integrand(x: float) -> float:
+        ld = log_density(x)
+        return math.exp(ld - ref) if ld > -math.inf else 0.0
+
+    # mode inside the tail means the bulk of the mass sits there; split
+    # the interval so quad sees the peak
+    mode = (a - 1.0) / (a + b - 2.0) if a + b > 2.0 else eps_max
+    points = [mode] if eps_max < mode < 1.0 else None
+    val, err = integrate.quad(integrand, eps_max, 1.0, points=points, limit=200)
+    if val > 0.0 and err > rel_tol * val * 1e3:
+        raise NumericalFailure(
+            f"quadrature error {err:g} too large for value {val:g}"
+        )
+    log_tail = math.log(val) + ref - log_norm if val > 0.0 else -math.inf
+    return math.exp(log_tail)
 
 
 class TestLikelihood:

@@ -1,7 +1,9 @@
 """Every name in a module's __all__ resolves, so a star import of any
-qident module works and no export outlives the code it named."""
+qident module works and no export outlives the code it named; and every
+public function or class a library module defines is exported."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -22,3 +24,16 @@ def test_star_import_resolves_every_export(name):
     namespace: dict = {}
     exec(f"from {name} import *", namespace)
     assert set(exports) <= namespace.keys()
+
+
+# the command-line module's cmd_* functions are entry points, not API
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "qident.cli"])
+def test_every_public_definition_is_exported(name):
+    module = importlib.import_module(name)
+    defined = [
+        n for n, obj in vars(module).items()
+        if not n.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == name
+    ]
+    assert sorted(set(defined) - set(module.__all__)) == []

@@ -17,7 +17,6 @@ from qident.core import (
     LengthMismatch,
     PoolExhausted,
     Triad,
-    make_rng,
     random_bitstring,
 )
 from qident.protocol1 import (
@@ -26,11 +25,8 @@ from qident.protocol1 import (
     Party1State,
     Protocol1Params,
     Role,
-    compare_with_tolerance,
     eve_impersonation_frequency,
-    eve_impersonation_trial,
     expected_success_probability,
-    fabricated_triads,
     impostor_pass_probability,
     make_shared_triads,
     run_protocol1,
@@ -68,14 +64,15 @@ class TestParams:
         assert PARAMS.triad_bits == 150
 
     def test_compare_with_tolerance(self):
+        # an honest checker accepts at Hamming distance up to k
         a = BitString.from01("10110")
-        assert compare_with_tolerance(a, a, 0)
-        assert compare_with_tolerance(a, a.flipped(2), 1)
-        assert not compare_with_tolerance(a, a.flipped(2), 0)
-        with pytest.raises(ValueError):
-            compare_with_tolerance(a, a, -1)
+        checker = Party1State([], Role.BOB)
+        assert checker.accepts(a, a, 0)
+        assert checker.accepts(a.flipped(2), a, 1)
+        assert not checker.accepts(a.flipped(2), a, 0)
+        assert Party1State([], Role.BOB, honest=False).accepts(a.flipped(2), a, 0)
         with pytest.raises(LengthMismatch):
-            compare_with_tolerance(a, BitString.from01("10"), 1)
+            checker.accepts(a, BitString.from01("10"), 1)
 
 
 class TestBookkeeping:
@@ -89,7 +86,7 @@ class TestBookkeeping:
 
     def test_triad_burned_even_on_abort(self, rng):
         alice, bob = fresh_pair(rng, n_triads=2)
-        bob.triads[0] = fabricated_triads(1, PARAMS, rng)[0]  # desync
+        bob.triads[0] = make_shared_triads(1, PARAMS, rng)[0]  # desync
         res = run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
         assert res.outcome is IdentOutcome.ABORT_PASS1
         assert alice.pointer == bob.pointer == 1
@@ -244,9 +241,15 @@ class TestBatchedLaw:
 class TestImpersonationMonteCarlo:
     def test_trial_shape_checks(self, rng):
         with pytest.raises(ValueError):
-            eve_impersonation_trial([0.6] * 49, PARAMS, rng)
+            eve_impersonation_frequency([0.6] * 49, PARAMS, 10, rng)
         with pytest.raises(ValueError):
-            eve_impersonation_trial([1.5] * 50, PARAMS, rng)
+            eve_impersonation_frequency([[0.6] * 50], PARAMS, 10, rng)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, float("nan")])
+    def test_frequency_rejects_probabilities_outside_unit_interval(self, rng, bad):
+        for probs in ([bad] * 50, [0.6] * 49 + [bad]):
+            with pytest.raises(ValueError, match="probabilities"):
+                eve_impersonation_frequency(probs, PARAMS, 100, rng)
 
     def test_frequency_needs_a_trial(self, rng):
         for n in (0, -3):
@@ -254,8 +257,8 @@ class TestImpersonationMonteCarlo:
                 eve_impersonation_frequency([0.6] * 50, PARAMS, n, rng)
 
     def test_certain_guess_always_passes(self, rng):
-        assert eve_impersonation_trial([1.0] * 50, PARAMS, rng)
         assert eve_impersonation_frequency([1.0] * 50, PARAMS, 100, rng) == 1.0
+        assert eve_impersonation_frequency([0.0] * 50, PARAMS, 100, rng) == 0.0
 
     def test_frequency_matches_exact_probability(self):
         # at p_bar=0.9 the exact value is large enough for a tight
@@ -272,14 +275,6 @@ class TestImpersonationMonteCarlo:
         params = Protocol1Params(n_is=20, eps=0.01)
         freq = eve_impersonation_frequency([0.6] * 20, params, 300_001, rng=88)
         assert freq == 134 / 300_001
-
-    def test_scalar_trial_agrees_with_vectorized(self):
-        probs = [0.97] * 50
-        rng = make_rng(107)
-        n = 20_000
-        hits = sum(eve_impersonation_trial(probs, PARAMS, rng) for _ in range(n))
-        exact = deception_probability_exact(probs, PARAMS.k)
-        assert within_4_sigma(hits, n, exact)
 
 
 class TestReferenceProbabilities:

@@ -41,7 +41,6 @@ from qident.protocol2 import (
     error_correct,
     message_bit_lengths,
     planned_key_consumption,
-    position_field_bits,
     privacy_amplify,
     run_protocol2,
     select_subset_positions,
@@ -72,6 +71,13 @@ class TestWireMessage:
             msg = WireMessage(MsgKind(kind), payload, tag)
             back = WireMessage.from_bytes(msg.to_bytes())
             assert back == msg
+
+    def test_tag_field_roundtrip(self):
+        # the tag travels as 8 big-endian bytes at the end of the frame
+        for tag in (0, 1, auth.M61 - 1, 12345678901234567):
+            frame = WireMessage(MsgKind.FINAL_VERDICT, BitString.zeros(32), tag).to_bytes()
+            assert frame[-8:] == tag.to_bytes(8, "big")
+            assert WireMessage.from_bytes(frame).tag == tag
 
     def test_tag_presence_enforced(self):
         with pytest.raises(ValueError):
@@ -133,8 +139,18 @@ def test_arbitrary_payloads_parse_or_raise_wire_format_error(name, bits):
 
 class TestSizing:
     def test_position_field_bits(self):
-        assert position_field_bits(6_250_000) == 23
-        assert position_field_bits(100_000) == 17
+        # two s fields, each as wide as the bit length of N
+        for n, width in ((6_250_000, 23), (100_000, 17)):
+            assert message_bit_lengths(n, 3)[MsgKind.POSITIONS] == 6 * width
+
+    def test_planned_consumption_and_minimum_share_the_position_width(self):
+        # exact widths: from 2**49 - 1 on, a float log2 reads one bit more
+        s, a = 1000, 61
+        for n in [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]:
+            width = n.bit_length()
+            assert message_bit_lengths(n, s)[MsgKind.POSITIONS] == 2 * s * width
+            assert min_initial_secret_bits(n, s, a) == 2 * s * (width + 2) + 32 + 3 * a
+        assert planned_key_consumption(2**49 - 1, s) == 102_297
 
     def test_message_lengths(self):
         lengths = message_bit_lengths(6_250_000, 1000)
