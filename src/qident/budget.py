@@ -18,7 +18,6 @@ import numpy as np
 from .core import QidentError, strict_ceil
 
 __all__ = [
-    "NoRoot",
     "AllZero",
     "NeverBreaksEven",
     "BudgetParams",
@@ -51,10 +50,6 @@ __all__ = [
 LN2 = math.log(2.0)
 
 
-class NoRoot(QidentError):
-    """The two information curves do not cross inside the search range."""
-
-
 class AllZero(QidentError):
     """Every candidate intensity yields a zero distilled-key rate."""
 
@@ -65,7 +60,7 @@ class NeverBreaksEven(QidentError):
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy of a bit with bias p, in bits; H(0) == H(1) == 0."""
-    if p < 0.0 or p > 1.0:
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p} outside [0, 1]")
     if p == 0.0 or p == 1.0:
         return 0.0
@@ -99,7 +94,7 @@ def deception_probability_exact(p_list, k: int) -> float:
     p = np.asarray(p_list, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p_list must be a non-empty vector")
-    if p.min() < 0.0 or p.max() > 1.0:
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError("per-bit probabilities must lie in [0, 1]")
     if k < 0:
         raise ValueError("tolerance k must be non-negative")
@@ -167,8 +162,7 @@ def optimal_attack_info(eps: float) -> float:
     probe interaction that causes error rate eps on the sifted key:
     1 - H2(1/2 + sqrt(eps * (1 - eps))).
 
-    This default curve is the one the budget analysis assumes; callers
-    that model a different attack can pass their own curve to
+    This is the curve the budget analysis assumes; see
     error_rate_upper_bound.
     """
     if not 0.0 <= eps <= 0.5:
@@ -200,34 +194,16 @@ def guess_probability_from_info(info: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def error_rate_upper_bound(
-    attack_info=None,
-    lo: float = 0.01,
-    hi: float = 0.15,
-    resolution: float = 1e-4,
-) -> float:
-    """Largest tolerable error rate: the crossing of the attack
-    information curve with info_limit, found by bisection on [lo, hi].
-
-    If the attack curve exceeds the limit across the whole range the
-    bound saturates at the left edge; if it never reaches the limit
-    there is no crossing and NoRoot is raised.
+def error_rate_upper_bound() -> float:
+    """Largest tolerable error rate eps_max: where optimal_attack_info
+    crosses info_limit, found by bisection on [0.01, 0.15] to a bracket
+    width of 1e-4.  The attack curve is below the limit at 0.01 and above
+    it at 0.15; they cross at about 0.0662.
     """
-    curve = attack_info if attack_info is not None else optimal_attack_info
-
-    def diff(e: float) -> float:
-        return curve(e) - info_limit(e)
-
-    d_lo, d_hi = diff(lo), diff(hi)
-    if d_lo > 0.0 and d_hi > 0.0:
-        return lo
-    if d_lo <= 0.0 and d_hi <= 0.0:
-        raise NoRoot(
-            f"attack information stays below the limit on [{lo}, {hi}]"
-        )
-    while hi - lo > resolution:
+    lo, hi = 0.01, 0.15
+    while hi - lo > 1e-4:
         mid = 0.5 * (lo + hi)
-        if diff(mid) <= 0.0:
+        if optimal_attack_info(mid) <= info_limit(mid):
             lo = mid
         else:
             hi = mid
@@ -372,7 +348,7 @@ def corrected_len(n_sifted, eps: float):
     an empirical fit for interactive parity-exchange reconciliation;
     clamped at zero.  n_sifted may be an array.
     """
-    if np.any(n_sifted < 0.0):
+    if not np.all(n_sifted >= 0.0):
         raise ValueError("n_sifted must be non-negative")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
@@ -384,8 +360,8 @@ class DistilledTerms:
     """Term-by-term breakdown of the distilled-key length.
 
     total = max(0, corrected - beamsplit - probe_attack - five_sigma
-                   - pa_compression); the raw (unclamped) sum is kept for
-    reporting.  The terms are floats, or arrays that broadcast.
+                   - pa_compression).  The terms are floats, or arrays that
+    broadcast.
     """
 
     corrected: float
@@ -395,18 +371,15 @@ class DistilledTerms:
     pa_compression: float
 
     @property
-    def raw_total(self) -> float:
-        return (
+    def total(self) -> float:
+        return np.maximum(
+            0.0,
             self.corrected
             - self.beamsplit
             - self.probe_attack
             - self.five_sigma
-            - self.pa_compression
+            - self.pa_compression,
         )
-
-    @property
-    def total(self) -> float:
-        return np.maximum(0.0, self.raw_total)
 
 
 def _budget_terms(params: BudgetParams, mu, n) -> DistilledTerms:
@@ -436,10 +409,10 @@ def _budget_terms(params: BudgetParams, mu, n) -> DistilledTerms:
     )
 
 
-def _intensities(mu_grid, top: float = math.inf) -> np.ndarray:
+def _intensities(mu_grid) -> np.ndarray:
     mu = np.asarray(mu_grid, dtype=float)
-    if mu.size == 0 or not (mu.min() > 0.0 and mu.max() <= top):
-        raise ValueError(f"mu grid must lie within (0, {top}]")
+    if mu.size == 0 or not (mu.min() > 0.0 and mu.max() < math.inf):
+        raise ValueError("mu grid must be non-empty, positive and finite")
     return mu
 
 
@@ -474,21 +447,20 @@ def distilled_per_pulse(params: BudgetParams, mu_grid) -> np.ndarray:
     return _budget_terms(params, mu, params.n_pulses).total / params.n_pulses
 
 
-def default_mu_grid(step: float = 0.01, top: float = 1.5) -> np.ndarray:
-    return np.round(np.arange(step, top + step / 2, step), 10)
+def default_mu_grid() -> np.ndarray:
+    """Intensities 0.01, 0.02, ..., 1.5."""
+    return np.round(np.arange(0.01, 1.505, 0.01), 10)
 
 
-def optimize_intensity(
-    params: BudgetParams, mu_grid=None
-) -> tuple[float, float]:
-    """Grid search for the pulse intensity maximizing distilled bits per
-    pulse at the otherwise fixed operating point.
+def optimize_intensity(params: BudgetParams) -> tuple[float, float]:
+    """Search of default_mu_grid for the pulse intensity maximizing
+    distilled bits per pulse at the otherwise fixed operating point.
 
     Returns (mu_star, best ratio); exact ties go to the earlier grid
-    entry, the smaller intensity on a sorted grid.  Raises AllZero when no
-    candidate distils anything.
+    entry, the smaller intensity.  Raises AllZero when no candidate
+    distils anything.
     """
-    grid = default_mu_grid() if mu_grid is None else _intensities(mu_grid, 1.5)
+    grid = default_mu_grid()
     rate = distilled_per_pulse(params, grid)
     best = int(np.argmax(rate))  # the first maximum
     if not rate[best] > 0.0:
@@ -498,16 +470,11 @@ def optimize_intensity(
 
 # break_even_grid's entry where no N in the search range breaks even.
 NEVER = 0
+_N_MIN, _N_MAX, _N_RESOLUTION = 2, 1_000_000_000, 1e-3
 
 
 def break_even_grid(
-    params: BudgetParams,
-    mu_grid,
-    reoptimize_mu: bool = False,
-    n_lo: int = 2,
-    n_hi: int = 1_000_000_000,
-    rel_resolution: float = 1e-3,
-    consumption=min_initial_secret_bits,
+    params: BudgetParams, mu_grid, reoptimize_mu: bool = False
 ) -> np.ndarray:
     """break_even_pulses at every intensity of mu_grid, with all the
     brackets bisected at once.
@@ -515,41 +482,31 @@ def break_even_grid(
     Entry i is what break_even_pulses returns for params at
     mu = mu_grid[i], or NEVER where it raises NeverBreaksEven.  Each
     bracket [lo, hi] keeps ratio(lo) < 1 <= ratio(hi) and stops once
-    hi - lo <= max(1, int(rel_resolution * hi)).  With reoptimize_mu
-    each step evaluates the whole default mu grid at the live N values.
-    ``consumption`` is called with an int64 array of pulse counts; a
-    scalar return is broadcast.
+    hi - lo <= max(1, int(1e-3 * hi)).  With reoptimize_mu each step
+    evaluates the whole default mu grid at the live N values.
+
+    Nothing breaks even at N = 2, so the search needs no probe there: a
+    point distils at most eta * mu <= sqrt(8) bits, as its beamsplit
+    fraction is at most one, and consumption is at least 35 bits.
     """
     mu = _intensities(mu_grid)
     tuned = default_mu_grid()
 
     def breaks_even(at: np.ndarray, n: np.ndarray) -> np.ndarray:
         """ratio(n) >= 1 for the brackets at intensities ``at``."""
-        if np.any(n < 2):
-            raise ValueError("n_pulses must be at least 2")
         if reoptimize_mu:
             rate = _budget_terms(params, tuned, n[:, None]).total / n[:, None]
-            best = rate.max(axis=1)
-            gained = best * n
+            gained = rate.max(axis=1) * n
         else:
             gained = _budget_terms(params, at, n).total
-        used = np.broadcast_to(consumption(n, params.s, params.a), n.shape)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            even = np.where(used > 0, gained / used >= 1.0, gained >= 0.0)
-        # a re-tuned N where no intensity distils anything has ratio 0
-        return even & (best > 0.0) if reoptimize_mu else even
+        return gained / min_initial_secret_bits(n, params.s, params.a) >= 1.0
 
     flat = mu.ravel()
     out = np.full(flat.shape, NEVER, dtype=np.int64)
-    at_lo = breaks_even(flat, np.full(flat.shape, n_lo, dtype=np.int64))
-    out[at_lo] = n_lo
-    live = np.flatnonzero(~at_lo)
-    if live.size:  # the rest stay NEVER
-        n_top = np.full(live.shape, n_hi, dtype=np.int64)
-        live = live[breaks_even(flat[live], n_top)]
-    lo, hi = (np.full(live.shape, v, dtype=np.int64) for v in (n_lo, n_hi))
+    live = np.flatnonzero(breaks_even(flat, np.full(flat.shape, _N_MAX, dtype=np.int64)))
+    lo, hi = (np.full(live.shape, v, dtype=np.int64) for v in (_N_MIN, _N_MAX))
     while True:
-        done = hi - lo <= np.maximum(1, (rel_resolution * hi).astype(np.int64))
+        done = hi - lo <= np.maximum(1, (_N_RESOLUTION * hi).astype(np.int64))
         out[live[done]] = hi[done]
         live, lo, hi = live[~done], lo[~done], hi[~done]
         if live.size == 0:
@@ -559,27 +516,18 @@ def break_even_grid(
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
 
 
-def break_even_pulses(
-    params: BudgetParams,
-    reoptimize_mu: bool = False,
-    n_lo: int = 2,
-    n_hi: int = 1_000_000_000,
-    rel_resolution: float = 1e-3,
-    consumption=min_initial_secret_bits,
-) -> int:
-    """Smallest pulse count whose session refuels at least as many secret
-    bits as it consumes, found by bisection over N.
+def break_even_pulses(params: BudgetParams, reoptimize_mu: bool = False) -> int:
+    """Smallest pulse count in [2, 1e9] whose session refuels at least as
+    many secret bits as it consumes, found by bisection over N to a
+    relative width of 1e-3.
 
     Consumption is min_initial_secret_bits, the three messages' minimum,
     not a session's planned_key_consumption.  With reoptimize_mu the
-    intensity is re-tuned at every candidate N.  ``consumption`` is
-    injectable for testing; forcing it to zero makes every N break even,
-    so the search floor n_lo is returned.  See break_even_grid.
+    intensity is re-tuned at every candidate N.  See break_even_grid.
     """
-    n = break_even_grid(params, params.mu, reoptimize_mu, n_lo, n_hi,
-                        rel_resolution, consumption)
+    n = break_even_grid(params, params.mu, reoptimize_mu)
     if n == NEVER:
         raise NeverBreaksEven(
-            f"refuelled bits never reach consumption up to N={n_hi}"
+            f"refuelled bits never reach consumption up to N={_N_MAX}"
         )
     return int(n)

@@ -23,7 +23,6 @@ from .core import QidentError
 
 __all__ = [
     "NoSolution",
-    "likelihood",
     "posterior_tail",
     "solve_eps_limit",
     "acceptable_error_count",
@@ -35,24 +34,6 @@ class NoSolution(QidentError):
     for this (eps_max, delta) pair."""
 
 
-def likelihood(k: int, s: int, eps: float) -> float:
-    """Binomial probability of k mismatches in s comparisons at true
-    error rate eps; evaluated in log-space so large s cannot underflow
-    the intermediate terms."""
-    if not 0 <= k <= s:
-        raise ValueError("need 0 <= k <= s")
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError("eps must lie in [0, 1]")
-    if eps == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if eps == 1.0:
-        return 1.0 if k == s else 0.0
-    log_choose = (
-        math.lgamma(s + 1) - math.lgamma(k + 1) - math.lgamma(s - k + 1)
-    )
-    return math.exp(log_choose + k * math.log(eps) + (s - k) * math.log1p(-eps))
-
-
 def posterior_tail(s: float, eps_est: float, eps_max: float) -> float:
     """Posterior probability that the true error rate exceeds eps_max
     given s comparisons with observed rate eps_est, flat prior.
@@ -61,7 +42,7 @@ def posterior_tail(s: float, eps_est: float, eps_max: float) -> float:
     tiny tail is computed directly rather than as 1 minus something
     close to 1.
     """
-    if s <= 0:
+    if not s > 0:
         raise ValueError("s must be positive")
     if not 0.0 <= eps_est <= 1.0:
         raise ValueError("eps_est must lie in [0, 1]")
@@ -72,13 +53,11 @@ def posterior_tail(s: float, eps_est: float, eps_max: float) -> float:
     return float(special.betainc(beta, alpha, 1.0 - eps_max))
 
 
-def solve_eps_limit(
-    s: int, delta: float, eps_max: float, resolution: float = 1e-5
-) -> float:
+def solve_eps_limit(s: int, delta: float, eps_max: float) -> float:
     """Largest observed error rate that still certifies the ceiling:
     max eps_est with posterior_tail(s, eps_est, eps_max) <= delta.
 
-    Bisection to the given resolution; the returned value is the
+    Bisection to a bracket width of 1e-5; the returned value is the
     certified lower end of the final bracket, so the acceptance test it
     induces is never optimistic.  Comparisons run in log-space.
     Raises NoSolution when even a clean sample (eps_est = 0) fails.
@@ -100,7 +79,7 @@ def solve_eps_limit(
     lo, hi = 0.0, eps_max
     if ok(hi):
         return hi
-    while hi - lo > resolution:
+    while hi - lo > 1e-5:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             lo = mid

@@ -280,7 +280,11 @@ def _parse_fixed(payload: BitString, n_bits: int) -> BitString:
 
 # -- interactive error correction --------------------------------------
 
-# phase 2 gives up after this many repairs; see error_correct
+# phase 1 gives up after this many passes, phase 2 asks for this many
+# matching parities in a row and gives up after this many repairs; see
+# error_correct
+EC_MAX_PASSES = 30
+EC_VERIFY_ROUNDS = 64
 EC_MAX_FIXUPS = 256
 # a sample with fewer mismatches than this sizes phase-1 blocks as if it
 # had this many, where the key is long enough for the difference to
@@ -305,14 +309,12 @@ def _bisect(flips: list[int], lo: int, hi: int) -> tuple[int, int]:
     return lo, spent
 
 
-def _parity_passes(
-    diff: np.ndarray, bob: np.ndarray, block: int, rng, max_passes: int
-) -> tuple[int, int]:
+def _parity_passes(diff: np.ndarray, bob: np.ndarray, block: int, rng) -> tuple[int, int]:
     """Phase 1 on diff = alice ^ bob, repairing bob and diff in place;
     returns (parity bits disclosed, errors repaired)."""
     n = diff.size
     leak = repaired = 0
-    for _ in range(max_passes):
+    for _ in range(EC_MAX_PASSES):
         order = rng.permutation(n)
         shuffled = diff[order]
         starts = np.arange(0, n, block)
@@ -328,7 +330,7 @@ def _parity_passes(
         if odd.size == 0:
             return leak, repaired
         block = min(n, block * 2)
-    raise NonConvergence(f"no clean pass within {max_passes} passes")
+    raise NonConvergence(f"no clean pass within {EC_MAX_PASSES} passes")
 
 
 def _in_subset(key: int, round: int, positions: np.ndarray) -> np.ndarray:
@@ -344,19 +346,18 @@ def _in_subset(key: int, round: int, positions: np.ndarray) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))) >> np.uint64(63) == 1
 
 
-def _verify(
-    diff: np.ndarray, bob: np.ndarray, key: int, rounds: int, max_fixups: int
-) -> tuple[int, int, bool]:
+def _verify(diff: np.ndarray, bob: np.ndarray, key: int) -> tuple[int, int, bool]:
     """Phase 2 on diff = alice ^ bob, repairing bob and diff in place;
-    returns (parity bits disclosed, repairs, whether rounds parities in
-    a row matched).  An odd round is repaired by bisecting [0, n) on the
-    parities of its subset's members; only errors are ever hashed."""
+    returns (parity bits disclosed, repairs, whether EC_VERIFY_ROUNDS
+    parities in a row matched).  An odd round is repaired by bisecting
+    [0, n) on the parities of its subset's members; only errors are ever
+    hashed."""
     n = diff.size
     errs = np.flatnonzero(diff)
     leak = streak = fixups = r = 0
-    while streak < rounds and fixups <= max_fixups:
+    while streak < EC_VERIFY_ROUNDS and fixups <= EC_MAX_FIXUPS:
         if errs.size == 0:  # every round left matches
-            return leak + rounds - streak, fixups, True
+            return leak + EC_VERIFY_ROUNDS - streak, fixups, True
         leak += 1
         flips = errs[_in_subset(key, r, errs)]
         r += 1
@@ -370,34 +371,28 @@ def _verify(
             fixups += 1
         else:
             streak += 1
-    return leak, fixups, streak == rounds
+    return leak, fixups, streak == EC_VERIFY_ROUNDS
 
 
 def error_correct(
-    alice: np.ndarray,
-    bob: np.ndarray,
-    eps_hint: float,
-    rng,
-    max_passes: int = 30,
-    verify_rounds: int = 64,
-    max_fixups: int = EC_MAX_FIXUPS,
+    alice: np.ndarray, bob: np.ndarray, eps_hint: float, rng
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Interactive parity error correction; returns (alice's string,
     corrected bob copy, parity bits disclosed).
 
     Phase 1: shuffled blocks of about 0.73/eps_hint bits exchange
     parities; odd blocks are repaired by bisection.  Block size doubles
-    per pass until a pass is clean.  Phase 2: random-subset parities
-    must match verify_rounds times in a row, each mismatch triggering
-    one more bisection repair, which leaves a residual mismatch
-    probability of at most 2**-verify_rounds.
+    per pass until a pass is clean, for at most EC_MAX_PASSES passes.
+    Phase 2: random-subset parities must match EC_VERIFY_ROUNDS = 64
+    times in a row, each mismatch triggering one more bisection repair,
+    which leaves a residual mismatch probability of at most 2**-64.
 
     A hint far below the true error rate makes phase-1 blocks too large
-    and leaves phase 2 more than max_fixups errors.  Phase 2 then stops,
-    and both phases run once more on what is left, with the hint raised
-    to at least twice the rate of errors repaired so far.  Gives up with
-    NonConvergence when the pass cap is exceeded or the second phase 2
-    also exceeds the fix-up cap.
+    and leaves phase 2 more than EC_MAX_FIXUPS errors.  Phase 2 then
+    stops, and both phases run once more on what is left, with the hint
+    raised to at least twice the rate of errors repaired so far.  Gives
+    up with NonConvergence when the pass cap is exceeded or the second
+    phase 2 also exceeds the fix-up cap.
 
     Each phase 2 draws one 63-bit key from rng and takes its subsets
     from _in_subset, a public function of that key.  The simulation
@@ -415,9 +410,9 @@ def error_correct(
 
     for _ in range(2):
         block = max(2, int(round(0.73 / max(eps_hint, 1.0 / n))))
-        spent, found = _parity_passes(diff, bob, block, rng, max_passes)
+        spent, found = _parity_passes(diff, bob, block, rng)
         key = int(rng.integers(1 << 63))
-        checked, fixups, matched = _verify(diff, bob, key, verify_rounds, max_fixups)
+        checked, fixups, matched = _verify(diff, bob, key)
         leak += spent + checked
         if matched:
             return alice.copy(), bob, leak
@@ -464,7 +459,7 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     return BitString((counts.astype(np.int64) & 1).astype(np.uint8))
 
 
-def compute_out_len(params: BudgetParams, eps_est: float, leak: int = 0) -> int:
+def compute_out_len(params: BudgetParams, eps_est: float, leak: int) -> int:
     """Refuelled key length: the distilled-key budget at the estimated
     error rate, less the error-correction leak beyond what the budget's
     corrected length already allows for at that rate, rounded down."""

@@ -17,7 +17,6 @@ from qident.core import QidentError
 from qident.estimation import (
     NoSolution,
     acceptable_error_count,
-    likelihood,
     posterior_tail,
     solve_eps_limit,
 )
@@ -70,33 +69,6 @@ def posterior_tail_quadrature(
     return math.exp(log_tail)
 
 
-class TestLikelihood:
-    def test_anchor(self):
-        # C(10,2) * 0.2^2 * 0.8^8
-        assert likelihood(2, 10, 0.2) == pytest.approx(0.301989888, rel=1e-12)
-
-    def test_degenerate_rates(self):
-        assert likelihood(0, 40, 0.0) == 1.0
-        assert likelihood(1, 40, 0.0) == 0.0
-        assert likelihood(40, 40, 1.0) == 1.0
-        assert likelihood(39, 40, 1.0) == 0.0
-
-    def test_large_sample_no_underflow(self):
-        # peak term of a million-bit sample stays finite and positive
-        assert likelihood(4000, 1_000_000, 0.004) > 0.0
-
-    @given(st.integers(1, 60), st.floats(0.0, 1.0))
-    def test_sums_to_one(self, s, eps):
-        total = sum(likelihood(k, s, eps) for k in range(s + 1))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            likelihood(5, 4, 0.1)
-        with pytest.raises(ValueError):
-            likelihood(1, 4, 1.5)
-
-
 class TestPosteriorTail:
     def test_two_routes_agree(self, rng):
         cases = [(1000, 0.02451, 0.07), (1000, 0.05, 0.07), (50, 0.0, 0.1)]
@@ -126,6 +98,12 @@ class TestPosteriorTail:
         tail = posterior_tail(10_000, 0.07, 0.07)
         assert 0.3 < tail < 0.7
 
+    @pytest.mark.parametrize("args", [(math.nan, 0.01, 0.07), (0.0, 0.01, 0.07),
+                                      (1000, math.nan, 0.07), (1000, 0.01, math.nan)])
+    def test_rejects_nan_and_empty_samples(self, args):
+        with pytest.raises(ValueError):
+            posterior_tail(*args)
+
     def test_quadrature_guard(self):
         with pytest.raises(NumericalFailure):
             posterior_tail_quadrature(1000, 0.05, 0.07, rel_tol=0.0)
@@ -147,7 +125,7 @@ class TestEpsLimit:
 
     def test_certified_side(self):
         # returned value itself passes; a step above the bracket fails
-        lim = solve_eps_limit(1000, 1e-10, 0.07, resolution=1e-5)
+        lim = solve_eps_limit(1000, 1e-10, 0.07)
         assert posterior_tail(1000, lim, 0.07) <= 1e-10
         assert posterior_tail(1000, lim + 2e-5, 0.07) > 1e-10
 

@@ -256,12 +256,13 @@ class TestErrorCorrection:
                 np.zeros(5, dtype=np.uint8), np.zeros(4, dtype=np.uint8), 0.01, rng
             )
 
-    def test_gives_up_without_passes(self, rng):
+    def test_gives_up_without_passes(self, rng, monkeypatch):
         a = np.zeros(64, dtype=np.uint8)
         b = a.copy()
         b[0] ^= 1
-        with pytest.raises(NonConvergence):
-            error_correct(a, b, 0.01, rng, max_passes=0)
+        monkeypatch.setattr(protocol2, "EC_MAX_PASSES", 0)
+        with pytest.raises(NonConvergence, match="no clean pass within 0 passes"):
+            error_correct(a, b, 0.01, rng)
 
     def test_hint_at_half_the_true_rate_converges(self, rng):
         # a reference-size key at eps = 0.004 whose sample showed k = 2 of
@@ -275,11 +276,15 @@ class TestErrorCorrection:
         assert np.array_equal(bob, a)
         assert 0 < leak < n // 10
 
-    def test_gives_up_when_the_retry_also_fails(self, rng):
-        a = rng.integers(0, 2, 20_000, dtype=np.uint8)
-        b = a ^ (rng.random(20_000) < 0.004).astype(np.uint8)
-        with pytest.raises(NonConvergence):
-            error_correct(a, b, 0.0005, rng, max_fixups=0)
+    def test_gives_up_when_the_retry_also_fails(self):
+        # a hint 3,000 times below the true rate leaves both phase-2 runs
+        # more errors than they may repair
+        for seed in range(5):
+            rng = make_rng(seed)
+            a = rng.integers(0, 2, 20_000, dtype=np.uint8)
+            b = a ^ (rng.random(20_000) < 0.3).astype(np.uint8)
+            with pytest.raises(NonConvergence, match="verification keeps finding"):
+                error_correct(a, b, 1e-4, rng)
 
     def test_bisect_on_ranks_matches_gathered_parities(self, rng):
         # reference: halve the segment and gather the parity of the lower
@@ -311,10 +316,10 @@ class TestErrorCorrection:
             (300, 0.05, 0.0001, {}),
             (4_500, 0.004, 0.002, {}),
             (20_000, 0.004, 0.0005, {}),
-            (20_000, 0.004, 0.004, {"verify_rounds": 3}),
-            (20_000, 0.01, 0.001, {"max_fixups": 5}),
+            (20_000, 0.004, 0.004, {"EC_VERIFY_ROUNDS": 3}),
+            (20_000, 0.01, 0.001, {"EC_MAX_FIXUPS": 5}),
             (60_000, 0.004, 0.003, {}),
-            (20_000, 0.3, 0.01, {"max_fixups": 2}),
+            (20_000, 0.3, 0.01, {"EC_MAX_FIXUPS": 2}),
         ],
     )
     def test_subsets_computed_as_if_drawn_in_full(self, monkeypatch, n, rate, hint, kw):
@@ -325,8 +330,11 @@ class TestErrorCorrection:
         a = data.integers(0, 2, n, dtype=np.uint8)
         b = a ^ (data.random(n) < rate).astype(np.uint8)
         bound = math.ceil(math.log2(n)) + 1
+        for name, value in kw.items():
+            monkeypatch.setattr(protocol2, name, value)
+        rounds, max_fixups = protocol2.EC_VERIFY_ROUNDS, protocol2.EC_MAX_FIXUPS
 
-        def naive_verify(diff, bob, key, rounds, max_fixups):
+        def naive_verify(diff, bob, key):
             leak = streak = fixups = r = 0
             while streak < rounds and fixups <= max_fixups:
                 subset = protocol2._in_subset(key, r, np.arange(n))
@@ -364,7 +372,7 @@ class TestErrorCorrection:
             monkeypatch.setattr(protocol2, "_verify", spy_verify)
             monkeypatch.setattr(protocol2, "_bisect", spy_bisect)
             try:
-                _, bob, leak = error_correct(a, b, hint, make_rng(99), **kw)
+                _, bob, leak = error_correct(a, b, hint, make_rng(99))
                 out = bob.tobytes(), leak
             except NonConvergence as exc:
                 out = str(exc)
@@ -475,19 +483,19 @@ class TestPrivacyAmplification:
 
 class TestOutLen:
     def test_reference_point(self):
-        assert compute_out_len(REFERENCE, 0.004) == 121_265
+        assert compute_out_len(REFERENCE, 0.004, 0) == 121_265
 
     def test_monotone_in_estimate(self):
-        outs = [compute_out_len(REFERENCE, e) for e in (0.0, 0.004, 0.02, 0.05)]
+        outs = [compute_out_len(REFERENCE, e, 0) for e in (0.0, 0.004, 0.02, 0.05)]
         assert outs == sorted(outs, reverse=True)
 
     def test_floors_at_zero(self):
-        assert compute_out_len(REFERENCE, 0.2) == 0
+        assert compute_out_len(REFERENCE, 0.2, 0) == 0
 
     def test_leak_beyond_the_corrected_length_is_charged(self):
         n_s = expected_sifted_len(REFERENCE)
         allowed = n_s - corrected_len(n_s, 0.004)
-        base = compute_out_len(REFERENCE, 0.004)
+        base = compute_out_len(REFERENCE, 0.004, 0)
         assert compute_out_len(REFERENCE, 0.004, math.floor(allowed)) == base
         # the excess is 1000 plus a fraction of a bit
         charged = compute_out_len(REFERENCE, 0.004, math.ceil(allowed) + 1000)
@@ -612,7 +620,7 @@ class TestHonestSession:
         n_s = expected_sifted_len(REFERENCE)
         assert res.leak > n_s - corrected_len(n_s, res.eps_est)
         assert res.out_len == compute_out_len(REFERENCE, res.eps_est, res.leak)
-        assert res.out_len < compute_out_len(REFERENCE, res.eps_est)
+        assert res.out_len < compute_out_len(REFERENCE, res.eps_est, 0)
         assert res.out_len <= res.n_key - res.leak
         assert res.net > 0
         assert_pools_mirrored(res)
@@ -647,9 +655,9 @@ class TestHonestSession:
 def spy_on_hints(monkeypatch):
     hints = []
 
-    def spy(alice, bob, eps_hint, rng, **kw):
+    def spy(alice, bob, eps_hint, rng):
         hints.append(eps_hint)
-        return error_correct(alice, bob, eps_hint, rng, **kw)
+        return error_correct(alice, bob, eps_hint, rng)
 
     monkeypatch.setattr(protocol2, "error_correct", spy)
     return hints
@@ -679,6 +687,24 @@ class TestAdversaries:
             assert res.aborted_at == stage
             assert res.transcript[-1].kind is MsgKind.ABORT
             assert_pools_mirrored(res)
+
+    @pytest.mark.parametrize("make_script, pinned", [
+        (lambda: AdversaryScript(tamper=flip_payload_bit(MsgKind.POSITIONS)),
+         ("positions-auth", None, 0, 0, 34099)),
+        (lambda: AdversaryScript(tamper=flip_payload_bit(MsgKind.BASES_AND_BITS)),
+         ("bases-bits-auth", None, 0, 0, 38186)),
+        (lambda: AdversaryScript(tamper=flip_payload_bit(MsgKind.FINAL_VERDICT)),
+         ("verdict-auth", None, 991, 4, 38308)),
+        (lambda: AdversaryScript(
+            eve=EveParams(strategy=EveStrategy.INTERCEPT_RESEND, fraction=1.0)),
+         (None, "verdict-reject", 991, 280, 38308)),
+        (lambda: sifting_mitm_script(20260819), ("positions-auth", None, 0, 0, 34099)),
+    ], ids=["tamper-positions", "tamper-bases-bits", "tamper-verdict",
+            "intercept-resend", "sifting-mitm"])
+    def test_adversarial_desk_sessions_pinned(self, make_script, pinned):
+        res = run_protocol2(SMALL, seed=20260819, adversary=make_script())
+        assert (res.aborted_at, res.refuel_reason, res.s_real, res.k,
+                res.consumed_alice) == pinned
 
     def test_keys_burned_on_abort(self):
         script = AdversaryScript(tamper=flip_payload_bit(MsgKind.POSITIONS))
