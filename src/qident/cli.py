@@ -387,34 +387,35 @@ def _iter_vectors(path: str):
             raise ParseError(f"vector line {ln}: {e}") from None
 
 
+def _key_for(args, message: BitString) -> tuple[int, ...]:
+    """--words key words (default: as many as message needs) from --key."""
+    key_bits = _parse_bits(args.key, "key")
+    n_words = args.words if args.words is not None else auth.words_needed(len(message))
+    key, _ = auth.key_from_bits(key_bits, n_words)
+    return key
+
+
 def cmd_auth_tag(args, cfg) -> int:
     if args.vectors:
-        for _, (params, key, msg, _) in _iter_vectors(args.vectors):
-            tag = auth.authenticate(msg, key, params.p)
-            print(auth.format_vector_line(params, key, msg, tag))
+        for _, (key, msg, _) in _iter_vectors(args.vectors):
+            print(auth.format_vector_line(key, msg, auth.authenticate(msg, key)))
         return 0
     message = _parse_bits(args.message, "message")
-    key_bits = _parse_bits(args.key, "key")
-    n_words = args.words or auth.words_needed(len(message))
-    key, _ = auth.key_from_bits(key_bits, n_words)
-    print(f"{auth.authenticate(message, key):016x}")
+    print(f"{auth.authenticate(message, _key_for(args, message)):016x}")
     return 0
 
 
 def cmd_auth_verify(args, cfg) -> int:
     if args.vectors:
         bad = 0
-        for ln, (params, key, msg, tag) in _iter_vectors(args.vectors):
-            ok = auth.authenticate(msg, key, params.p) == tag
+        for ln, (key, msg, tag) in _iter_vectors(args.vectors):
+            ok = auth.authenticate(msg, key) == tag
             bad += not ok
             print(f"line {ln}: {'ok' if ok else 'BAD'}")
         return 1 if bad else 0
     message = _parse_bits(args.message, "message")
-    key_bits = _parse_bits(args.key, "key")
-    tag = _parse_tag(args.tag)
-    n_words = args.words or auth.words_needed(len(message))
-    key, _ = auth.key_from_bits(key_bits, n_words)
-    if auth.verify(message, tag, key):
+    key = _key_for(args, message)
+    if auth.verify(message, _parse_tag(args.tag), key):
         print("tag valid")
         return 0
     print("tag INVALID")

@@ -93,11 +93,14 @@ class BitString:
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        """Parse the ``"<len>:<hex>"`` text form."""
+        """Parse the ``"<len>:<hex>"`` text form; the hex must be exactly
+        the zero-padded bytes that to_text writes."""
         head, _, hexpart = text.strip().partition(":")
-        n = int(head)
         data = bytes.fromhex(hexpart)
-        return cls.from_bytes(data, n)
+        bits = cls.from_bytes(data, int(head))
+        if bits.to_bytes() != data:
+            raise ValueError("hex is not the zero-padded bytes of the length")
+        return bits
 
     @classmethod
     def from01(cls, s: str) -> "BitString":

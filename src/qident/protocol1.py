@@ -166,18 +166,15 @@ def run_protocol1(
     bob: Party1State,
     params: Protocol1Params,
     rng: np.random.Generator | int = 0,
-    channel_eps: float | None = None,
 ) -> Protocol1Result:
     """One identification session.
 
     Pointers are synchronized first (both adopt the maximum), then one
     triad is consumed on each side whatever the outcome, and the passes
-    run in _PASSES order until one is rejected.  channel_eps defaults to
-    the design error rate in params.
+    run in _PASSES order until one is rejected.  The channel flips each
+    bit at the design error rate params.eps.
     """
-    _check_channel_eps(channel_eps)
     rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
-    eps = params.eps if channel_eps is None else channel_eps
 
     synced = pointer_sync(alice.pointer, bob.pointer)
     alice.pointer = synced
@@ -192,7 +189,7 @@ def run_protocol1(
     outcome = IdentOutcome.SUCCESS
     for i, (sender, checker) in enumerate(_PASSES):
         own = triads[checker].parts[i]
-        received = _transmit(triads[sender].parts[i], eps, rng)
+        received = _transmit(triads[sender].parts[i], params.eps, rng)
         ok = parties[checker].accepts(received, own, params.k)
         distances[i + 1] = received.hamming(own)
         transcript.append((i + 1, f"{sender[0]}->{checker[0]}".upper(), received, ok))
@@ -214,17 +211,11 @@ def run_protocol1(
 TRIAL_CHUNK = 2048
 
 
-def _check_run_args(n: int, impostor: str | None, channel_eps: float | None) -> None:
+def _check_run_args(n: int, impostor: str | None) -> None:
     if n < 0:
         raise ValueError("the number of sessions must be non-negative")
     if impostor not in (None, "initiator", "responder"):
         raise ValueError("impostor must be None, 'initiator' or 'responder'")
-    _check_channel_eps(channel_eps)
-
-
-def _check_channel_eps(channel_eps: float | None) -> None:
-    if channel_eps is not None and not 0.0 <= channel_eps <= 1.0:
-        raise ValueError("channel_eps must lie in [0, 1]")
 
 
 def run_trials(
@@ -232,7 +223,6 @@ def run_trials(
     n_trials: int,
     seed: int = 0,
     impostor: str | None = None,
-    channel_eps: float | None = None,
 ) -> dict[IdentOutcome, int]:
     """Outcome counts over independent single-triad sessions.
 
@@ -246,9 +236,8 @@ def run_trials(
     same law as run_sessions, which plays each session through
     run_protocol1, but not the same draws at a given seed.
     """
-    _check_run_args(n_trials, impostor, channel_eps)
+    _check_run_args(n_trials, impostor)
     rng = make_rng(seed)
-    eps = params.eps if channel_eps is None else channel_eps
     shape = (3, params.n_is)
     honest = {"alice": impostor != "initiator", "bob": impostor != "responder"}
     tally = np.zeros(len(IdentOutcome), dtype=np.int64)
@@ -261,7 +250,7 @@ def run_trials(
         rejected = np.zeros((m, 3), dtype=bool)
         for i, (sender, checker) in enumerate(_PASSES):
             if honest[checker]:  # an impostor accepts anything
-                flips = rng.random((m, params.n_is)) < eps
+                flips = rng.random((m, params.n_is)) < params.eps
                 received = parts[sender][:, i] ^ flips
                 dist = np.count_nonzero(received != parts[checker][:, i], axis=1)
                 rejected[:, i] = dist > params.k
@@ -276,7 +265,6 @@ def run_sessions(
     n_sessions: int,
     seed: int = 0,
     impostor: str | None = None,
-    channel_eps: float | None = None,
 ) -> dict[IdentOutcome, int]:
     """Outcome counts of n_sessions played one at a time through
     run_protocol1, each with fresh Party1States and one triad.
@@ -284,7 +272,7 @@ def run_sessions(
     The per-session reference for run_trials, and what
     ``qident protocol1`` runs.
     """
-    _check_run_args(n_sessions, impostor, channel_eps)
+    _check_run_args(n_sessions, impostor)
     rng = make_rng(seed)
     counts = {o: 0 for o in IdentOutcome}
     for _ in range(n_sessions):
@@ -298,7 +286,7 @@ def run_sessions(
         else:
             alice = Party1State(list(shared), Role.ALICE)
             bob = Party1State(list(shared), Role.BOB)
-        result = run_protocol1(alice, bob, params, rng, channel_eps)
+        result = run_protocol1(alice, bob, params, rng)
         counts[result.outcome] += 1
     return counts
 
@@ -333,12 +321,9 @@ def eve_impersonation_frequency(
     return hits / n_trials
 
 
-def expected_success_probability(
-    params: Protocol1Params, channel_eps: float | None = None
-) -> float:
+def expected_success_probability(params: Protocol1Params) -> float:
     """Honest-case success rate: all three passes survive the noise."""
-    eps = params.eps if channel_eps is None else channel_eps
-    per_pass = float(stats.binom.cdf(params.k, params.n_is, eps))
+    per_pass = float(stats.binom.cdf(params.k, params.n_is, params.eps))
     return per_pass**3
 
 

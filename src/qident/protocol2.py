@@ -155,6 +155,8 @@ class WireMessage:
         n_tag = TAG_BYTES if kind in AUTHENTICATED_KINDS else 0
         if len(data) != 5 + n_body + n_tag:
             raise WireFormatError("length field disagrees with frame size")
+        if n_bits % 8 and data[4 + n_body] & (0xFF >> n_bits % 8):
+            raise WireFormatError("nonzero padding bits")
         payload = BitString.from_bytes(data[5 : 5 + n_body], n_bits)
         tag = int.from_bytes(data[5 + n_body :], "big") if n_tag else None
         if n_tag and tag >= auth.M61:
@@ -309,9 +311,9 @@ def _bisect(flips: list[int], lo: int, hi: int) -> tuple[int, int]:
     return lo, spent
 
 
-def _parity_passes(diff: np.ndarray, bob: np.ndarray, block: int, rng) -> tuple[int, int]:
-    """Phase 1 on diff = alice ^ bob, repairing bob and diff in place;
-    returns (parity bits disclosed, errors repaired)."""
+def _parity_passes(diff: np.ndarray, block: int, rng) -> tuple[int, int]:
+    """Phase 1 on diff = alice ^ bob, repairing diff in place; returns
+    (parity bits disclosed, errors repaired)."""
     n = diff.size
     leak = repaired = 0
     for _ in range(EC_MAX_PASSES):
@@ -324,7 +326,6 @@ def _parity_passes(diff: np.ndarray, bob: np.ndarray, block: int, rng) -> tuple[
         for start in starts[odd].tolist():
             i, spent = _bisect(flips, start, min(start + block, n))
             leak += spent
-            bob[order[i]] ^= 1
             diff[order[i]] ^= 1
         repaired += odd.size
         if odd.size == 0:
@@ -346,12 +347,11 @@ def _in_subset(key: int, round: int, positions: np.ndarray) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))) >> np.uint64(63) == 1
 
 
-def _verify(diff: np.ndarray, bob: np.ndarray, key: int) -> tuple[int, int, bool]:
-    """Phase 2 on diff = alice ^ bob, repairing bob and diff in place;
-    returns (parity bits disclosed, repairs, whether EC_VERIFY_ROUNDS
-    parities in a row matched).  An odd round is repaired by bisecting
-    [0, n) on the parities of its subset's members; only errors are ever
-    hashed."""
+def _verify(diff: np.ndarray, key: int) -> tuple[int, int, bool]:
+    """Phase 2 on diff = alice ^ bob, repairing diff in place; returns
+    (parity bits disclosed, repairs, whether EC_VERIFY_ROUNDS parities in
+    a row matched).  An odd round is repaired by bisecting [0, n) on the
+    parities of its subset's members; only errors are ever hashed."""
     n = diff.size
     errs = np.flatnonzero(diff)
     leak = streak = fixups = r = 0
@@ -363,7 +363,6 @@ def _verify(diff: np.ndarray, bob: np.ndarray, key: int) -> tuple[int, int, bool
         r += 1
         if flips.size & 1:
             j, spent = _bisect(flips.tolist(), 0, n)
-            bob[j] ^= 1
             diff[j] ^= 1
             errs = errs[errs != j]
             leak += spent
@@ -397,25 +396,24 @@ def error_correct(
     Each phase 2 draws one 63-bit key from rng and takes its subsets
     from _in_subset, a public function of that key.  The simulation
     follows diff = alice ^ bob, so a parity comparison is the parity of
-    diff over a subset.
+    diff over a subset, and the corrected copy is alice ^ diff.
     """
     if alice.shape != bob.shape or alice.ndim != 1:
         raise ValueError("need two equal-length bit vectors")
     n = alice.size
     if n == 0:
         return alice.copy(), bob.copy(), 0
-    bob = bob.copy()
     diff = (alice ^ bob).astype(np.uint8)
     leak = repaired = 0
 
     for _ in range(2):
         block = max(2, int(round(0.73 / max(eps_hint, 1.0 / n))))
-        spent, found = _parity_passes(diff, bob, block, rng)
+        spent, found = _parity_passes(diff, block, rng)
         key = int(rng.integers(1 << 63))
-        checked, fixups, matched = _verify(diff, bob, key)
+        checked, fixups, matched = _verify(diff, key)
         leak += spent + checked
         if matched:
-            return alice.copy(), bob, leak
+            return alice.copy(), alice ^ diff, leak
         repaired += found + fixups
         eps_hint = max(eps_hint, 2.0 * repaired / n)
     raise NonConvergence("verification keeps finding mismatches")

@@ -18,7 +18,6 @@ from qident.auth import (
     PRODUCTION_KEY_BITS,
     PRODUCTION_WORDS,
     WORD_BITS,
-    AuthParams,
     BadKey,
     DecodeError,
     MessageTooLong,
@@ -43,17 +42,16 @@ def bs(text01: str) -> BitString:
     return BitString.from01(text01)
 
 
-def per_word_draw(supply: np.ndarray, n_words: int, p: int):
-    """Reference drawer: one w-bit group at a time, rejecting values >= p.
+def per_word_draw(supply: np.ndarray, n_words: int):
+    """Reference drawer: one 61-bit group at a time, rejecting values >= p.
     Returns (key, bits read), or (None, bits read) when the supply runs out."""
-    w = p.bit_length()
     key, used = [], 0
     while len(key) < n_words:
-        if used + w > supply.size:
+        if used + 61 > supply.size:
             return None, used
-        v = int("".join(str(b) for b in supply[used : used + w]), 2)
-        used += w
-        if v < p:
+        v = int("".join(str(b) for b in supply[used : used + 61]), 2)
+        used += 61
+        if v < M61:
             key.append(v)
     return tuple(key), used
 
@@ -63,9 +61,8 @@ def biased_bits(n_bits: int, p_one: float, seed: int) -> BitString:
     return BitString((gen.random(n_bits) < p_one).astype(np.uint8))
 
 
-# small fields, a 13-bit Mersenne prime, the production field and one
-# wider than a 64-bit limb
-DRAW_PRIMES = (5, 7, 13, 8191, M61, (1 << 127) - 1)
+def vector_line(p, d, msg="2:80", tag="0" * 16):
+    return f"{p} {d} {'0' * 16 * d} {msg} {tag}"
 
 
 class TestParams:
@@ -73,26 +70,26 @@ class TestParams:
         assert M61 == 2**61 - 1
         assert WORD_BITS == 61
         assert PRODUCTION_KEY_BITS == PRODUCTION_WORDS * WORD_BITS == 45_079
-        p = AuthParams()
-        assert (p.p, p.d) == (M61, PRODUCTION_WORDS)
-        assert p.word_bits == 61
-        assert p.key_bits == 45_079
-        assert p.max_message_bits == 45_017
+        assert max_message_bits(PRODUCTION_WORDS) == 45_017
 
     def test_rejects_composite_modulus(self):
-        with pytest.raises(ValueError):
-            AuthParams(p=15, d=3)
-        with pytest.raises(ValueError):
-            AuthParams(p=M61, d=1)
+        # a vector line names its modulus, and only 2**61 - 1 parses
+        with pytest.raises(ValueError, match="modulus 15"):
+            parse_vector_line(vector_line(15, 3))
+        for n_words in (1, 0):  # sentinel plus at least one payload word
+            with pytest.raises(ValueError):
+                max_message_bits(n_words)
+            with pytest.raises(ValueError):
+                encode_message(BitString.zeros(0), n_words)
+            with pytest.raises(ValueError):
+                parse_vector_line(vector_line(M61, n_words))
 
     def test_binary_field_allowed_for_tagging_only(self):
-        assert AuthParams(2, 2).key_bits == 4
-        with pytest.raises(ValueError):
-            max_message_bits(2, p=2)
-
-    def test_equality(self):
-        assert AuthParams(5, 3) == AuthParams(5, 3)
-        assert AuthParams(5, 3) != AuthParams(7, 3)
+        # tag_message works over any prime field; messages and vector
+        # lines use 2**61 - 1 alone
+        assert tag_message((1, 1), (1, 1), p=2) == 0
+        with pytest.raises(ValueError, match="modulus 2"):
+            parse_vector_line(vector_line(2, 2))
 
 
 class TestWordBudget:
@@ -170,24 +167,24 @@ class TestEncoding:
         with pytest.raises(MessageTooLong):
             encode_message(bs("1" * 60), 2)
 
-    @given(st.integers(0, 120), st.floats(0.5, 1.0), st.integers(0, 2**32 - 1))
+    @given(
+        st.lists(st.sampled_from(["1" * 61, "1" * 60 + "0", "1" * 59 + "01", None]),
+                 max_size=8),
+        st.integers(0, 60),
+        st.integers(0, 2**32 - 1),
+    )
     @settings(max_examples=60)
-    def test_roundtrip_escape_heavy_small_field(self, n_bits, p_one, seed):
-        # at p = 5 every 3-bit group of value 4..7 travels escaped, and
-        # mostly-ones messages escape nearly every group
-        msg = biased_bits(n_bits, p_one, seed)
-        n = 1 + 2 * -(-n_bits // 3) + 1  # room for every group escaped
-        words = encode_message(msg, n, p=5)
-        assert all(0 <= v < 5 for v in words)
-        assert decode_message(words, n_bits, p=5) == msg
-
-    def test_roundtrip_field_wider_than_a_limb(self, rng):
-        p = (1 << 127) - 1
-        for n_bits in (0, 1, 126, 127, 128, 1000):
-            msg = random_bitstring(n_bits, rng)
-            n = words_needed(n_bits, p)
-            assert decode_message(encode_message(msg, n, p), n_bits, p) == msg
-        assert encode_message(bs("1" * 127), 3, p) == (1, p - 1, 1)
+    def test_roundtrip_escape_heavy_property(self, groups, cut, seed):
+        # all ones and the escape marker travel escaped, their neighbour
+        # p - 2 does not; None is a random group.  Cutting the tail
+        # zero-pads the last group.
+        gen = np.random.default_rng(seed)
+        text = "".join(g or "".join(map(str, gen.integers(0, 2, 61))) for g in groups)
+        msg = bs(text[: max(0, len(text) - cut)])
+        n = 2 + 2 * len(groups)  # room for every group escaped
+        words = encode_message(msg, n)
+        assert all(0 <= v < M61 for v in words)
+        assert decode_message(words, len(msg)) == msg
 
     @given(st.integers(0, 300), st.integers(0, 2**32 - 1))
     @settings(max_examples=60)
@@ -267,7 +264,6 @@ class TestKeyDrawing:
         assert pool.pointer == used_a
 
     @given(
-        st.sampled_from(DRAW_PRIMES),
         st.integers(0, 10),
         st.floats(0.0, 1.0),  # share of ones; near 1 most groups are rejected
         st.integers(0, 2**32 - 1),
@@ -276,25 +272,24 @@ class TestKeyDrawing:
     )
     @settings(max_examples=300, deadline=None)
     def test_batched_draw_matches_per_word_rejection(
-        self, p, n_words, p_one, seed, offset_words, data
+        self, n_words, p_one, seed, offset_words, data
     ):
-        w = p.bit_length()
-        n_bits = data.draw(st.integers(0, w * (2 * n_words + 3)))
-        offset = offset_words * w
+        n_bits = data.draw(st.integers(0, 61 * (2 * n_words + 3)))
+        offset = offset_words * 61
         store = biased_bits(offset + n_bits, p_one, seed)
-        want_key, want_used = per_word_draw(store.bits[offset:], n_words, p)
+        want_key, want_used = per_word_draw(store.bits[offset:], n_words)
 
         pool = SecretPool(store)
         pool.consume(offset)
         if want_key is None:
             with pytest.raises(PoolExhausted):
-                key_from_bits(store[offset:], n_words, p)
+                key_from_bits(store[offset:], n_words)
             with pytest.raises(PoolExhausted):
-                key_from_pool(pool, n_words, p)
+                key_from_pool(pool, n_words)
             assert pool.pointer == offset
             return
-        assert key_from_bits(store[offset:], n_words, p) == (want_key, want_used)
-        assert key_from_pool(pool, n_words, p) == (want_key, want_used)
+        assert key_from_bits(store[offset:], n_words) == (want_key, want_used)
+        assert key_from_pool(pool, n_words) == (want_key, want_used)
         assert pool.pointer == offset + want_used
 
     def test_two_parties_stay_aligned(self, rng):
@@ -355,40 +350,54 @@ class TestVerify:
 
 
 class TestVectorLines:
+    # a literal line, so that any drift in the file format shows
+    PINNED = (
+        "2305843009213693951 3 1a749833117d258f1649fffcbb7aa59c0ab3b0c8f8f94f94 "
+        "16:dead 1425543239dc330f"
+    )
+
+    def test_production_line_pinned(self):
+        key, msg, tag = parse_vector_line(self.PINNED)
+        assert msg == BitString.from_text("16:dead")
+        assert authenticate(msg, key) == tag
+        assert format_vector_line(key, msg, tag) == self.PINNED
+
     def test_roundtrip(self, rng):
-        params = AuthParams(p=5, d=3)
         msg = bs("10")
-        words = encode_message(msg, 3, p=5)
-        key = (4, 0, 2)
-        tag = tag_message(key, words, p=5)
-        line = format_vector_line(params, key, msg, tag)
-        got_params, got_key, got_msg, got_tag = parse_vector_line(line)
-        assert got_params == params
-        assert got_key == key
-        assert got_msg == msg
-        assert got_tag == tag
+        key = (4, 0, M61 - 1)
+        tag = authenticate(msg, key)
+        line = format_vector_line(key, msg, tag)
+        assert line.split()[:2] == [str(M61), "3"]
+        assert parse_vector_line(line) == (key, msg, tag)
 
     def test_production_roundtrip(self, rng):
-        params = AuthParams()
         msg = random_bitstring(300, rng)
         key, _ = key_from_pool(
             SecretPool(random_bitstring(PRODUCTION_KEY_BITS + 610, rng)),
-            params.d,
+            PRODUCTION_WORDS,
         )
         tag = authenticate(msg, key)
-        line = format_vector_line(params, key, msg, tag)
-        _, got_key, got_msg, got_tag = parse_vector_line(line)
+        line = format_vector_line(key, msg, tag)
+        got_key, got_msg, got_tag = parse_vector_line(line)
         assert got_key == key and got_msg == msg and got_tag == tag
         assert verify(got_msg, got_tag, got_key)
 
     def test_parse_errors(self):
         with pytest.raises(ValueError):
-            parse_vector_line("5 3 000102 2:80")  # missing tag field
+            parse_vector_line(vector_line(M61, 3)[:-17])  # missing tag field
+        with pytest.raises(ValueError, match="modulus 5"):
+            parse_vector_line(vector_line(5, 3))  # any other modulus
         with pytest.raises(ValueError):
-            parse_vector_line("4 3 000102 2:80 1")  # composite modulus
+            parse_vector_line(vector_line(M61, 3).replace("0" * 48, "0" * 47))
+        with pytest.raises(BadKey):  # key word out of range
+            parse_vector_line(vector_line(M61, 3).replace("0" * 16, f"{M61:016x}", 1))
         with pytest.raises(ValueError):
-            parse_vector_line("5 3 0001 2:80 1")  # key field too short
+            parse_vector_line(vector_line(M61, 3, tag=f"{M61:016x}"))
+        with pytest.raises(ValueError):
+            parse_vector_line(vector_line(M61, 3, msg="3:ff"))  # non-canonical
+
+    def test_format_refuses_what_parse_refuses(self):
+        with pytest.raises(ValueError):
+            format_vector_line((0,), bs(""), 0)
         with pytest.raises(BadKey):
-            parse_vector_line("5 3 017 2:80 1")  # key word out of range
-        with pytest.raises(ValueError):
-            parse_vector_line("5 3 012 2:80 7")  # tag out of range
+            format_vector_line((0, M61), bs(""), 0)

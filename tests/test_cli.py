@@ -414,25 +414,40 @@ class TestAuthCommands:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("words", ["0", "1", "-1"])
+    def test_word_count_below_two_is_refused(self, capsys, words):
+        # --words 0 used to fall back to the default count and exit 0
+        msg, key = self.make_single_args()
+        code, out, err = run_cli(
+            capsys, "auth-tag", "--message", msg, "--key", key, "--words", words
+        )
+        assert (code, out) == (2, "")
+        assert "two words" in err
+        code, out, err = run_cli(
+            capsys, "auth-verify", "--message", msg, "--key", key,
+            "--tag", "0" * 16, "--words", words,
+        )
+        assert (code, out) == (2, "")
+        assert "two words" in err
+
+    @pytest.mark.parametrize("text", ["3:ff", "3:ffff", "16:dea"])
+    def test_non_canonical_message_text_is_refused(self, capsys, text):
+        _, key = self.make_single_args()
+        code, out, err = run_cli(capsys, "auth-tag", "--message", text, "--key", key)
+        assert (code, out) == (2, "")
+        assert "bad message" in err
+
     def make_vector_file(self, tmp_path, tamper_line=None):
         rng = make_rng(77)
         lines = []
-        params = auth.AuthParams(p=5, d=3)
-        for msg01 in ("0", "10"):
-            msg = BitString.from01(msg01)
-            key, _ = auth.key_from_pool(SecretPool(random_bitstring(90, rng)), 3, p=5)
-            tag = auth.tag_message(key, auth.encode_message(msg, 3, p=5), p=5)
-            lines.append(auth.format_vector_line(params, key, msg, tag))
-        prod = auth.AuthParams()
-        msg = random_bitstring(100, rng)
-        key, _ = auth.key_from_pool(
-            SecretPool(random_bitstring(auth.PRODUCTION_KEY_BITS + 610, rng)), prod.d
-        )
-        tag = auth.authenticate(msg, key)
-        lines.append(auth.format_vector_line(prod, key, msg, tag))
+        for msg01, n_words in (("0", 2), ("10", 3), (None, auth.PRODUCTION_WORDS)):
+            msg = random_bitstring(100, rng) if msg01 is None else BitString.from01(msg01)
+            key, _ = auth.key_from_pool(
+                SecretPool(random_bitstring(61 * n_words + 610, rng)), n_words)
+            lines.append(auth.format_vector_line(key, msg, auth.authenticate(msg, key)))
         if tamper_line is not None:
             fields = lines[tamper_line].split()
-            fields[4] = format((int(fields[4], 16) + 1) % 5, "x")
+            fields[4] = f"{(int(fields[4], 16) + 1) % auth.M61:016x}"
             lines[tamper_line] = " ".join(fields)
         path = tmp_path / "vectors.txt"
         path.write_text("# test vectors\n" + "\n".join(lines) + "\n", encoding="utf-8")
@@ -466,3 +481,14 @@ class TestAuthCommands:
         code, _, err = run_cli(capsys, "auth-verify", "--vectors", str(path))
         assert code == 2
         assert "vector line 1" in err
+
+    @pytest.mark.parametrize("command", ["auth-tag", "auth-verify"])
+    def test_vector_line_with_another_modulus_is_refused(self, capsys, tmp_path, command):
+        # a well-formed line over GF(5) after the three production lines
+        good = open(self.make_vector_file(tmp_path), encoding="utf-8").read()
+        path = tmp_path / "mixed.txt"
+        path.write_text(good + "5 3 000000000000000400000000000000000000000000000002 2:80 "
+                        "0000000000000003\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, command, "--vectors", str(path))
+        assert code == 2
+        assert "vector line 5: modulus 5 is not 2**61 - 1" in err

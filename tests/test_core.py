@@ -42,6 +42,18 @@ class TestBitString:
         assert BitString.from_text(b.to_text()) == b
         assert b.to_text() == "5:b0"
 
+    @pytest.mark.parametrize("text", ["3:ff", "3:ffff", "3:", "8:00ff", "9:ff"])
+    def test_text_must_be_the_canonical_form(self, text):
+        # nonzero padding, extra bytes and too few bytes are all refused
+        with pytest.raises(ValueError):
+            BitString.from_text(text)
+        assert BitString.from_text("3:e0") == BitString.from01("111")
+        assert BitString.from_text("0:") == BitString.zeros(0)
+
+    def test_bytes_keep_prefix_semantics(self):
+        # from_bytes reads the first n_bits and ignores the rest
+        assert BitString.from_bytes(b"\xff\xff", 3) == BitString.from01("111")
+
     def test_bytes_roundtrip(self, rng):
         for n in (0, 1, 7, 8, 9, 64, 1000):
             b = random_bitstring(n, rng)

@@ -6,6 +6,7 @@ abort attribution) is checked exactly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from qident.protocol1 import (
 )
 
 PARAMS = Protocol1Params()  # n_is=50, eps=0.01, k=1
+NOISELESS = replace(PARAMS, eps=0.0)  # the same k = 1
 
 
 def within_4_sigma(count, n, p):
@@ -78,7 +80,7 @@ class TestParams:
 class TestBookkeeping:
     def test_noiseless_session_succeeds_exactly(self, rng):
         alice, bob = fresh_pair(rng)
-        res = run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
+        res = run_protocol1(alice, bob, NOISELESS, rng)
         assert res.outcome is IdentOutcome.SUCCESS
         assert res.success
         assert res.distances == {1: 0, 2: 0, 3: 0}
@@ -87,7 +89,7 @@ class TestBookkeeping:
     def test_triad_burned_even_on_abort(self, rng):
         alice, bob = fresh_pair(rng, n_triads=2)
         bob.triads[0] = make_shared_triads(1, PARAMS, rng)[0]  # desync
-        res = run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
+        res = run_protocol1(alice, bob, NOISELESS, rng)
         assert res.outcome is IdentOutcome.ABORT_PASS1
         assert alice.pointer == bob.pointer == 1
         assert alice.remaining == bob.remaining == 1
@@ -95,19 +97,19 @@ class TestBookkeeping:
     def test_pointer_sync_runs_first(self, rng):
         alice, bob = fresh_pair(rng, n_triads=3)
         bob.pointer = 2  # bob burned triads in sessions alice missed
-        res = run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
+        res = run_protocol1(alice, bob, NOISELESS, rng)
         assert res.outcome is IdentOutcome.SUCCESS
         assert alice.pointer == bob.pointer == 3
 
     def test_exhaustion(self, rng):
         alice, bob = fresh_pair(rng, n_triads=1)
-        run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
+        run_protocol1(alice, bob, NOISELESS, rng)
         with pytest.raises(PoolExhausted):
             run_protocol1(alice, bob, PARAMS, rng)
 
     def test_transcript_records_three_passes(self, rng):
         alice, bob = fresh_pair(rng)
-        res = run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
+        res = run_protocol1(alice, bob, NOISELESS, rng)
         assert [(p, d) for p, d, _, _ in res.transcript] == [
             (1, "A->B"),
             (2, "B->A"),
@@ -127,13 +129,15 @@ class TestHonestRate:
         assert within_4_sigma(counts[IdentOutcome.SUCCESS], n_trials, p)
 
     def test_noiseless_always_succeeds(self):
-        counts = run_trials(PARAMS, 200, seed=102, channel_eps=0.0)
+        counts = run_trials(NOISELESS, 200, seed=102)
         assert counts[IdentOutcome.SUCCESS] == 200
 
     def test_noisier_channel_lowers_the_rate(self):
-        lo = expected_success_probability(PARAMS, channel_eps=0.05)
+        # at 5 % the tolerance rises to k = 3, but not enough to make up
+        noisy = replace(PARAMS, eps=0.05)
+        lo = expected_success_probability(noisy)
         assert lo < expected_success_probability(PARAMS)
-        counts = run_trials(PARAMS, 2000, seed=103, channel_eps=0.05)
+        counts = run_trials(noisy, 2000, seed=103)
         assert within_4_sigma(counts[IdentOutcome.SUCCESS], 2000, lo)
 
 
@@ -163,7 +167,7 @@ class TestImpostor:
         # Eve records pass 1 of a legitimate session, then tries to open
         # a new session with it; the responder has moved to a new triad
         alice, bob = fresh_pair(rng, n_triads=2)
-        first = run_protocol1(alice, bob, PARAMS, rng, channel_eps=0.0)
+        first = run_protocol1(alice, bob, NOISELESS, rng)
         captured = first.transcript[0][2]
         eve = Party1State(
             [Triad(captured, random_bitstring(50, rng), random_bitstring(50, rng))],
@@ -173,17 +177,17 @@ class TestImpostor:
         )
         eve.pointer = bob.pointer  # keep sync from resetting eve's stack
         eve.triads = [eve.triads[0]] * (bob.pointer + 1)
-        res = run_protocol1(eve, bob, PARAMS, rng, channel_eps=0.0)
+        res = run_protocol1(eve, bob, NOISELESS, rng)
         assert res.outcome is IdentOutcome.ABORT_PASS1
 
 
 class TestBatchedLaw:
-    @pytest.mark.parametrize("channel_eps", [None, 0.05])
-    def test_every_outcome_matches_exact_oracle(self, channel_eps):
+    @pytest.mark.parametrize("eps", [None, 0.05])  # None keeps PARAMS
+    def test_every_outcome_matches_exact_oracle(self, eps):
         n = 40_000
-        counts = run_trials(PARAMS, n, seed=110, channel_eps=channel_eps)
-        eps = PARAMS.eps if channel_eps is None else channel_eps
-        ph = float(stats.binom.cdf(PARAMS.k, PARAMS.n_is, eps))
+        params = PARAMS if eps is None else replace(PARAMS, eps=eps)
+        counts = run_trials(params, n, seed=110)
+        ph = float(stats.binom.cdf(params.k, params.n_is, params.eps))
         oracle = {
             IdentOutcome.SUCCESS: ph**3,
             IdentOutcome.ABORT_PASS1: 1.0 - ph,
@@ -224,18 +228,11 @@ class TestBatchedLaw:
     def test_rejects_negative_count_and_bad_channel(self, run):
         with pytest.raises(ValueError):
             run(PARAMS, -5)
-        for eps in (-0.1, 1.5, float("nan")):
+        # the channel runs at the design rate, which the parameters bound
+        for eps in (-0.1, 0.5, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                run(PARAMS, 10, channel_eps=eps)
-        assert sum(run(PARAMS, 10, channel_eps=1.0).values()) == 10
-
-    def test_single_session_rejects_bad_channel(self, rng):
-        # a negative rate used to run a noiseless channel and succeed
-        alice, bob = fresh_pair(rng)
-        for eps in (-0.3, 1.5, float("nan")):
-            with pytest.raises(ValueError):
-                run_protocol1(alice, bob, PARAMS, rng, channel_eps=eps)
-        assert alice.pointer == bob.pointer == 0
+                replace(PARAMS, eps=eps)
+        assert sum(run(replace(PARAMS, eps=0.49), 10).values()) == 10
 
 
 class TestImpersonationMonteCarlo:
@@ -279,10 +276,12 @@ class TestImpersonationMonteCarlo:
 
 class TestReferenceProbabilities:
     def test_success_probability_monotone_in_eps(self):
+        # every rate below 1/50 keeps the tolerance at k = 1
         ps = [
-            expected_success_probability(PARAMS, channel_eps=e)
-            for e in (0.0, 0.01, 0.05, 0.1)
+            expected_success_probability(replace(PARAMS, eps=e))
+            for e in (0.0, 0.005, 0.01, 0.015, 0.0199)
         ]
+        assert {replace(PARAMS, eps=e).k for e in (0.0, 0.0199)} == {1}
         assert ps[0] == 1.0
         assert ps == sorted(ps, reverse=True)
 

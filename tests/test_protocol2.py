@@ -111,12 +111,20 @@ class TestWireMessage:
         st.integers(0, 8), st.integers(0, 64), st.binary(min_size=16, max_size=16),
         st.sampled_from([0, 8]))))
     def test_arbitrary_bytes_parse_or_raise_wire_format_error(self, data):
-        # the second strategy builds frames whose length field mostly agrees
+        # the second strategy builds frames whose length field mostly
+        # agrees; a frame that parses is the one its message writes
         try:
             msg = WireMessage.from_bytes(data)
         except WireFormatError:
             return
-        assert WireMessage.from_bytes(msg.to_bytes()) == msg
+        assert msg.to_bytes() == data
+
+    def test_nonzero_padding_bits_do_not_parse(self):
+        frame = WireMessage(MsgKind.PA_SEED, BitString.from01("101")).to_bytes()
+        assert frame == bytes.fromhex("0700000003a0")
+        for last in (0xA1, 0xBF):  # the same three payload bits
+            with pytest.raises(WireFormatError, match="padding"):
+                WireMessage.from_bytes(frame[:-1] + bytes([last]))
 
 
 PARSERS = {
@@ -334,7 +342,7 @@ class TestErrorCorrection:
             monkeypatch.setattr(protocol2, name, value)
         rounds, max_fixups = protocol2.EC_VERIFY_ROUNDS, protocol2.EC_MAX_FIXUPS
 
-        def naive_verify(diff, bob, key):
+        def naive_verify(diff, key):
             leak = streak = fixups = r = 0
             while streak < rounds and fixups <= max_fixups:
                 subset = protocol2._in_subset(key, r, np.arange(n))
@@ -352,7 +360,6 @@ class TestErrorCorrection:
                     else:
                         lo = mid
                 assert spent <= bound
-                bob[lo] ^= 1
                 diff[lo] ^= 1
                 leak, streak, fixups = leak + spent, 0, fixups + 1
             return leak, fixups, streak == rounds
