@@ -272,7 +272,8 @@ def format_vector_line(key, msg: BitString, tag: int) -> str:
 
 def parse_vector_line(line: str) -> tuple[tuple[int, ...], BitString, int]:
     """(key, msg, tag) from one vector line; raises ValueError on a
-    modulus other than 2**61 - 1 or fewer than two words."""
+    modulus other than 2**61 - 1, fewer than two words, or any line that
+    format_vector_line would not write field for field."""
     fields = line.split()
     if len(fields) != 5:
         raise ValueError("expected: p d key_digits_hex msg tag_hex")
@@ -288,4 +289,6 @@ def parse_vector_line(line: str) -> tuple[tuple[int, ...], BitString, int]:
     tag = int(fields[4], 16)
     if not 0 <= tag < M61:
         raise ValueError("tag out of field range")
+    if format_vector_line(key, msg, tag) != " ".join(fields):
+        raise ValueError("line is not in the canonical vector form")
     return key, msg, tag

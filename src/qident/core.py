@@ -93,13 +93,13 @@ class BitString:
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
-        """Parse the ``"<len>:<hex>"`` text form; the hex must be exactly
-        the zero-padded bytes that to_text writes."""
-        head, _, hexpart = text.strip().partition(":")
-        data = bytes.fromhex(hexpart)
-        bits = cls.from_bytes(data, int(head))
-        if bits.to_bytes() != data:
-            raise ValueError("hex is not the zero-padded bytes of the length")
+        """Parse the ``"<len>:<hex>"`` text form; the text must be exactly
+        what to_text writes: a decimal length, then lower-case hex of the
+        zero-padded bytes."""
+        head, _, hexpart = text.partition(":")
+        bits = cls.from_bytes(bytes.fromhex(hexpart), int(head))
+        if bits.to_text() != text:
+            raise ValueError(f"'{text}' is not the canonical text form")
         return bits
 
     @classmethod

@@ -34,6 +34,10 @@ herself; a failed re-check (or any tampering with the unauthenticated
 plumbing, kinds 5-7) can only spoil the refuelling, never forge an
 identification.
 
+Error correction is a four-pass Cascade and then random-subset
+verification, with the error rate hint max(k, 3) / s_real.  Its leakage
+charges each parity it discloses exactly once (see error_correct).
+
 The refuelled key length is the distilled-key budget evaluated at the
 estimated error rate, less any error-correction leakage beyond what the
 budget's corrected length allows for; refuelling is refused when that
@@ -48,6 +52,7 @@ on kinds 1-3.
 from __future__ import annotations
 
 import enum
+import heapq
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
@@ -82,7 +87,6 @@ __all__ = [
     "MsgKind",
     "WireMessage",
     "WireFormatError",
-    "NonConvergence",
     "InsufficientDetections",
     "AdversaryScript",
     "Protocol2Result",
@@ -114,10 +118,6 @@ TAG_BYTES = 8  # the tag field of an authenticated frame
 
 class WireFormatError(QidentError):
     """Byte stream is not a well-formed wire message."""
-
-
-class NonConvergence(QidentError):
-    """Parity error correction failed to produce matching strings."""
 
 
 class InsufficientDetections(QidentError):
@@ -282,25 +282,19 @@ def _parse_fixed(payload: BitString, n_bits: int) -> BitString:
 
 # -- interactive error correction --------------------------------------
 
-# phase 1 gives up after this many passes, phase 2 asks for this many
-# matching parities in a row and gives up after this many repairs; see
-# error_correct
-EC_MAX_PASSES = 30
+# Cascade passes and matching parities in a row (see error_correct); a
+# sample with fewer mismatches than EC_MIN_MISMATCHES counts that many
+EC_PASSES = 4
 EC_VERIFY_ROUNDS = 64
-EC_MAX_FIXUPS = 256
-# a sample with fewer mismatches than this sizes phase-1 blocks as if it
-# had this many, where the key is long enough for the difference to
-# matter; see run_protocol2
 EC_MIN_MISMATCHES = 3
+
 
 def _bisect(flips: list[int], lo: int, hi: int) -> tuple[int, int]:
     """Binary-search one flipped bit among indices lo..hi-1, which hold
-    an odd number of the sorted indices in flips.
-
-    Each step announces the parity of the lower half.  Returns the index
-    found and the parity bits disclosed, the segment's own included.
-    """
-    spent = 1
+    an odd number of the sorted indices in flips.  Each step announces
+    the lower half's parity, the segment's own being known; returns the
+    index found and the parity bits disclosed."""
+    spent = 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
         spent += 1
@@ -311,27 +305,41 @@ def _bisect(flips: list[int], lo: int, hi: int) -> tuple[int, int]:
     return lo, spent
 
 
-def _parity_passes(diff: np.ndarray, block: int, rng) -> tuple[int, int]:
+def _cascade(diff: np.ndarray, block: int, rng) -> int:
     """Phase 1 on diff = alice ^ bob, repairing diff in place; returns
-    (parity bits disclosed, errors repaired)."""
+    the parity bits disclosed.  Pass p announces the parity of each block
+    of block * 2**p bits in its own shuffled order and bisects each odd
+    one.  A repaired bit toggles its block in every pass so far, and a
+    block that turns odd is bisected too, earliest pass (smallest blocks)
+    first (Brassard & Salvail 1993)."""
     n = diff.size
-    leak = repaired = 0
-    for _ in range(EC_MAX_PASSES):
+    passes, leak = [], 0
+    for p in range(EC_PASSES):
         order = rng.permutation(n)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(n)
         shuffled = diff[order]
-        starts = np.arange(0, n, block)
-        leak += starts.size
-        odd = np.flatnonzero(np.add.reduceat(shuffled, starts) & 1)
-        flips = np.flatnonzero(shuffled).tolist()
-        for start in starts[odd].tolist():
-            i, spent = _bisect(flips, start, min(start + block, n))
-            leak += spent
-            diff[order[i]] ^= 1
-        repaired += odd.size
-        if odd.size == 0:
-            return leak, repaired
-        block = min(n, block * 2)
-    raise NonConvergence(f"no clean pass within {EC_MAX_PASSES} passes")
+        parity = np.add.reduceat(shuffled, np.arange(0, n, block << p)) & 1
+        leak += parity.size
+        passes.append((block << p, order, rank, parity.tolist(),
+                       np.flatnonzero(shuffled).tolist()))
+        heap = [(p, b) for b in np.flatnonzero(parity).tolist()]  # sorted, so a heap
+        while heap:
+            q, b = heapq.heappop(heap)
+            size_q, order_q, _, odd_q, flips_q = passes[q]
+            if odd_q[b]:
+                i, spent = _bisect(flips_q, b * size_q, min((b + 1) * size_q, n))
+                leak += spent
+                j = order_q[i]
+                diff[j] ^= 1
+                for r, (size_r, _, rank_r, odd_r, flips_r) in enumerate(passes):
+                    x = int(rank_r[j])
+                    del flips_r[bisect_left(flips_r, x)]
+                    c = x // size_r
+                    odd_r[c] ^= 1
+                    if odd_r[c]:
+                        heapq.heappush(heap, (r, c))
+    return leak
 
 
 def _in_subset(key: int, round: int, positions: np.ndarray) -> np.ndarray:
@@ -347,17 +355,19 @@ def _in_subset(key: int, round: int, positions: np.ndarray) -> np.ndarray:
     return (z ^ (z >> np.uint64(31))) >> np.uint64(63) == 1
 
 
-def _verify(diff: np.ndarray, key: int) -> tuple[int, int, bool]:
+def _verify(diff: np.ndarray, key: int) -> int:
     """Phase 2 on diff = alice ^ bob, repairing diff in place; returns
-    (parity bits disclosed, repairs, whether EC_VERIFY_ROUNDS parities in
-    a row matched).  An odd round is repaired by bisecting [0, n) on the
-    parities of its subset's members; only errors are ever hashed."""
+    the parity bits disclosed once EC_VERIFY_ROUNDS parities in a row
+    have matched.  An odd round is repaired by bisecting [0, n) on the
+    parities of its subset's members; only errors are ever hashed.  Only
+    a repair, which removes an error, resets the streak, so this ends
+    within (EC_VERIFY_ROUNDS + 1) * (errors + 1) rounds."""
     n = diff.size
     errs = np.flatnonzero(diff)
-    leak = streak = fixups = r = 0
-    while streak < EC_VERIFY_ROUNDS and fixups <= EC_MAX_FIXUPS:
+    leak = streak = r = 0
+    while streak < EC_VERIFY_ROUNDS:
         if errs.size == 0:  # every round left matches
-            return leak + EC_VERIFY_ROUNDS - streak, fixups, True
+            return leak + EC_VERIFY_ROUNDS - streak
         leak += 1
         flips = errs[_in_subset(key, r, errs)]
         r += 1
@@ -367,10 +377,9 @@ def _verify(diff: np.ndarray, key: int) -> tuple[int, int, bool]:
             errs = errs[errs != j]
             leak += spent
             streak = 0
-            fixups += 1
         else:
             streak += 1
-    return leak, fixups, streak == EC_VERIFY_ROUNDS
+    return leak
 
 
 def error_correct(
@@ -379,24 +388,20 @@ def error_correct(
     """Interactive parity error correction; returns (alice's string,
     corrected bob copy, parity bits disclosed).
 
-    Phase 1: shuffled blocks of about 0.73/eps_hint bits exchange
-    parities; odd blocks are repaired by bisection.  Block size doubles
-    per pass until a pass is clean, for at most EC_MAX_PASSES passes.
-    Phase 2: random-subset parities must match EC_VERIFY_ROUNDS = 64
-    times in a row, each mismatch triggering one more bisection repair,
-    which leaves a residual mismatch probability of at most 2**-64.
+    Phase 1 is an EC_PASSES-pass Cascade whose first blocks hold about
+    0.73/eps_hint bits.  Phase 2 asks random-subset parities to match
+    EC_VERIFY_ROUNDS = 64 times in a row, each mismatch triggering one
+    bisection repair, which leaves a residual mismatch probability of at
+    most 2**-64.  Each parity disclosed is charged once: a block's or a
+    round's parity when announced, then each lower half's in a
+    bisection.  A parity the parties can work out from those and the
+    repairs, such as that of a block a repair re-opens, costs nothing.
 
-    A hint far below the true error rate makes phase-1 blocks too large
-    and leaves phase 2 more than EC_MAX_FIXUPS errors.  Phase 2 then
-    stops, and both phases run once more on what is left, with the hint
-    raised to at least twice the rate of errors repaired so far.  Gives
-    up with NonConvergence when the pass cap is exceeded or the second
-    phase 2 also exceeds the fix-up cap.
-
-    Each phase 2 draws one 63-bit key from rng and takes its subsets
-    from _in_subset, a public function of that key.  The simulation
-    follows diff = alice ^ bob, so a parity comparison is the parity of
-    diff over a subset, and the corrected copy is alice ^ diff.
+    Phase 1 draws one permutation per pass from rng, then phase 2 one
+    63-bit key whose subsets come from _in_subset, a public function of
+    it.  The simulation follows diff = alice ^ bob, so a parity
+    comparison is the parity of diff over a subset, and the corrected
+    copy is alice ^ diff.
     """
     if alice.shape != bob.shape or alice.ndim != 1:
         raise ValueError("need two equal-length bit vectors")
@@ -404,19 +409,9 @@ def error_correct(
     if n == 0:
         return alice.copy(), bob.copy(), 0
     diff = (alice ^ bob).astype(np.uint8)
-    leak = repaired = 0
-
-    for _ in range(2):
-        block = max(2, int(round(0.73 / max(eps_hint, 1.0 / n))))
-        spent, found = _parity_passes(diff, block, rng)
-        key = int(rng.integers(1 << 63))
-        checked, fixups, matched = _verify(diff, key)
-        leak += spent + checked
-        if matched:
-            return alice.copy(), alice ^ diff, leak
-        repaired += found + fixups
-        eps_hint = max(eps_hint, 2.0 * repaired / n)
-    raise NonConvergence("verification keeps finding mismatches")
+    leak = _cascade(diff, max(2, round(0.73 / max(eps_hint, 1.0 / n))), rng)
+    leak += _verify(diff, int(rng.integers(1 << 63)))
+    return alice.copy(), alice ^ diff, leak
 
 
 # -- privacy amplification ---------------------------------------------
@@ -701,19 +696,8 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     if alice_key.size != bob_key.size or alice_key.size == 0:
         raise _Stop("no-key-bits")
 
-    # With under EC_MIN_MISMATCHES mismatches the sample can put the rate
-    # at half the truth or less.  Phase 1 then leaves errors in pairs, and
-    # phase 2 repairs them one at a time, each repair a bisection of the
-    # whole key, up to EC_MAX_FIXUPS before error_correct starts over.
-    # Once the key holds more errors at the floor rate than that cap,
-    # phase 1 starts from the floor rate instead, which leaks less.
-    hint = max(res.eps_est, 1e-4)
-    if k < EC_MIN_MISMATCHES and alice_key.size * EC_MIN_MISMATCHES > EC_MAX_FIXUPS * s_real:
-        hint = EC_MIN_MISMATCHES / s_real
-    try:
-        _, bob_corrected, leak = error_correct(alice_key, bob_key, hint, rng)
-    except NonConvergence:
-        raise _Stop("ec-nonconvergence") from None
+    hint = max(k, EC_MIN_MISMATCHES) / s_real
+    _, bob_corrected, leak = error_correct(alice_key, bob_key, hint, rng)
     res.leak = leak
 
     out_len = res.out_len = compute_out_len(params, res.eps_est, leak)

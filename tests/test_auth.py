@@ -395,6 +395,10 @@ class TestVectorLines:
             parse_vector_line(vector_line(M61, 3, tag=f"{M61:016x}"))
         with pytest.raises(ValueError):
             parse_vector_line(vector_line(M61, 3, msg="3:ff"))  # non-canonical
+        with pytest.raises(ValueError, match="canonical"):  # int(_, 16) would read it
+            parse_vector_line(f"{M61} 2 0x000000000000050000_00000000007 4:a0 0x3")
+        with pytest.raises(ValueError, match="canonical"):  # a short tag
+            parse_vector_line(vector_line(M61, 3, tag="3"))
 
     def test_format_refuses_what_parse_refuses(self):
         with pytest.raises(ValueError):

@@ -297,7 +297,7 @@ CRITERION_11_CSV = [
     (("simulate-qkd", "--config", "desk.cfg", "--seed", "3", "--trials", "2"),
      "817012099e8cd2e90b930257cd862737489e3bd598439855b7a30db51d9009ef"),
     (("protocol2", "--config", "desk.cfg", "--seed", "5"),
-     "e12bf0061746bccc319d32c6198a64f948e81cc09a61419edc582f73077cb72e"),
+     "488faf3f5cc8e636c86ea71e1f17b3932791c804fce0d03ca86d2e57de4773a8"),
     (("deception", "--seed", "6"),
      "53837e38d138f2086b675838261f33360029d65bc09a3d315503deb1c277f38e"),
     (("epslim", "--seed", "7"),
@@ -492,3 +492,14 @@ class TestAuthCommands:
         code, _, err = run_cli(capsys, command, "--vectors", str(path))
         assert code == 2
         assert "vector line 5: modulus 5 is not 2**61 - 1" in err
+
+    @pytest.mark.parametrize("command", ["auth-tag", "auth-verify"])
+    def test_non_canonical_vector_line_is_refused(self, capsys, tmp_path, command):
+        # hex that int(_, 16) reads but format_vector_line never writes
+        good = open(self.make_vector_file(tmp_path), encoding="utf-8").read()
+        path = tmp_path / "lenient.txt"
+        path.write_text(good + f"{auth.M61} 2 0x000000000000050000_00000000007 4:a0 0x3\n",
+                        encoding="utf-8")
+        code, _, err = run_cli(capsys, command, "--vectors", str(path))
+        assert code == 2
+        assert "vector line 5: line is not in the canonical vector form" in err

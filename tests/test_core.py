@@ -42,9 +42,13 @@ class TestBitString:
         assert BitString.from_text(b.to_text()) == b
         assert b.to_text() == "5:b0"
 
-    @pytest.mark.parametrize("text", ["3:ff", "3:ffff", "3:", "8:00ff", "9:ff"])
+    @pytest.mark.parametrize("text", [
+        "3:ff", "3:ffff", "3:", "8:00ff", "9:ff",
+        "16:de ad", "+16:dead", " 16 :dead", "016:dead", "16:DEAD",
+    ])
     def test_text_must_be_the_canonical_form(self, text):
-        # nonzero padding, extra bytes and too few bytes are all refused
+        # nonzero padding, extra bytes, too few bytes, whitespace, a sign,
+        # a padded length and upper-case hex are all refused
         with pytest.raises(ValueError):
             BitString.from_text(text)
         assert BitString.from_text("3:e0") == BitString.from01("111")
