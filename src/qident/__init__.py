@@ -20,10 +20,9 @@ from .core import (
     PoolExhausted,
     QidentError,
     SecretPool,
-    Triad,
     make_rng,
-    pointer_sync,
     random_bitstring,
+    sync_pools,
 )
 
 __all__ = [
@@ -32,10 +31,9 @@ __all__ = [
     "PoolExhausted",
     "QidentError",
     "SecretPool",
-    "Triad",
     "make_rng",
-    "pointer_sync",
     "random_bitstring",
+    "sync_pools",
 ]
 
 __version__ = "0.1.0"

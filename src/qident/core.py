@@ -1,6 +1,7 @@
-"""Shared domain types: bit strings, identification-sequence triads, secret
-pools with monotone consumption pointers, and the seedable randomness
-contract used by every simulation in the package.
+"""Shared domain types: bit strings, the secret pool with a monotone
+consumption pointer that both identification protocols draw from, and
+the seedable randomness contract used by every simulation in the
+package.
 
 Randomness contract: all stochastic code takes a ``numpy.random.Generator``
 (PCG64, at least 64 bits of seed state).  Independent concerns inside one
@@ -12,7 +13,6 @@ one consumer never perturbs the draws seen by another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +21,8 @@ __all__ = [
     "PoolExhausted",
     "LengthMismatch",
     "BitString",
-    "Triad",
     "SecretPool",
-    "pointer_sync",
+    "sync_pools",
     "make_rng",
     "spawn_streams",
     "random_bitstring",
@@ -178,34 +177,6 @@ class BitString:
         return "".join("1" if b else "0" for b in self._bits)
 
 
-@dataclass(frozen=True)
-class Triad:
-    """One identification-sequence triple shared by two parties.
-
-    is1 and is3 are transmitted by the initiator, is2 by the responder.
-    All three parts must have equal length.
-    """
-
-    is1: BitString
-    is2: BitString
-    is3: BitString
-
-    def __post_init__(self):
-        if not (len(self.is1) == len(self.is2) == len(self.is3)):
-            raise LengthMismatch(
-                "triad parts differ in length: "
-                f"{len(self.is1)}, {len(self.is2)}, {len(self.is3)}"
-            )
-
-    @property
-    def n_is(self) -> int:
-        return len(self.is1)
-
-    @property
-    def parts(self) -> tuple[BitString, BitString, BitString]:
-        return self.is1, self.is2, self.is3
-
-
 class SecretPool:
     """Shared secret bit store consumed strictly left to right.
 
@@ -269,15 +240,20 @@ class SecretPool:
         return f"SecretPool(size={self.size}, pointer={self._pointer})"
 
 
-def pointer_sync(local: int, remote: int) -> int:
-    """Conservative pointer reconciliation: both sides adopt the maximum,
-
-    sacrificing any stretch the slower side has not used yet rather than
-    risking reuse of bits the faster side already consumed.
-    """
-    if local < 0 or remote < 0:
-        raise ValueError("pointers must be non-negative")
-    return max(local, remote)
+def sync_pools(a: SecretPool, b: SecretPool, need: int) -> None:
+    """Conservative pointer reconciliation: both pools advance to the
+    larger pointer, sacrificing any stretch the slower side has not used
+    yet rather than risking reuse of bits the faster side already
+    consumed.  Then raise PoolExhausted, consuming nothing, unless each
+    pool holds need unused bits."""
+    synced = max(a.pointer, b.pointer)
+    a.advance_to(synced)
+    b.advance_to(synced)
+    if a.remaining < need or b.remaining < need:
+        raise PoolExhausted(
+            f"pools hold {min(a.remaining, b.remaining)} unused bits "
+            f"after sync, {need} needed"
+        )
 
 
 # -- randomness ------------------------------------------------------

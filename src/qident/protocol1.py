@@ -1,16 +1,18 @@
 """Three-pass mutual identification over a channel the adversary can
 read but not usefully jam.
 
-Both parties hold a synchronized stack of secret triads.  A session
-burns exactly one triad: the initiator transmits the first part, the
-responder answers with the second, the initiator closes with the third.
-Each receiver compares what arrived against its own copy and accepts
-when the Hamming distance is at most the tolerance k, chosen just above
-the expected noise n_is * eps.  A used triad is never reused, even when
-the session aborts, so replaying an observed pass is worthless: the
-other side has already moved on to the next triad.
+Both parties hold a synchronized SecretPool, the same store that
+protocol 2 draws its keys from.  A session burns exactly 3 * n_is bits
+from each pool, read in order as parts 1, 2 and 3: the initiator
+transmits the first part, the responder answers with the second, the
+initiator closes with the third.  Each receiver compares what arrived
+against its own copy and accepts when the Hamming distance is at most
+the tolerance k, chosen just above the expected noise n_is * eps.  Used
+bits are never reused, even when the session aborts, so replaying an
+observed pass is worthless: the other side has already moved on to the
+next bits.
 
-An impostor owns no valid triads.  It fabricates (or replays) its
+An impostor shares no pool.  It fabricates (or replays) its
 transmissions and blindly accepts whatever it receives, since it has
 nothing to check against; the honest party's tolerance test is what
 stops it.
@@ -19,28 +21,18 @@ stops it.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .budget import tolerance
-from .core import (
-    BitString,
-    PoolExhausted,
-    Triad,
-    make_rng,
-    pointer_sync,
-    random_bitstring,
-)
+from .core import BitString, SecretPool, make_rng, random_bitstring, sync_pools
 
 __all__ = [
-    "Role",
     "IdentOutcome",
     "Protocol1Params",
-    "Party1State",
     "Protocol1Result",
-    "make_shared_triads",
     "run_protocol1",
     "run_trials",
     "run_sessions",
@@ -49,11 +41,6 @@ __all__ = [
     "expected_success_probability",
     "impostor_pass_probability",
 ]
-
-
-class Role(enum.Enum):
-    ALICE = "alice"  # initiator: sends parts 1 and 3
-    BOB = "bob"  # responder: sends part 2
 
 
 class IdentOutcome(enum.Enum):
@@ -88,58 +75,10 @@ class Protocol1Params:
 
 
 @dataclass
-class Party1State:
-    """One side's view: a triad stack and the index of the first unused
-    triad.  An impostor (honest=False) carries fabricated triads and
-    performs no checks."""
-
-    triads: list[Triad]
-    role: Role
-    pointer: int = 0
-    honest: bool = True
-
-    @property
-    def remaining(self) -> int:
-        return len(self.triads) - self.pointer
-
-    def next_triad(self) -> Triad:
-        if self.pointer >= len(self.triads):
-            raise PoolExhausted(
-                f"{self.role.value} has no unused identification triads"
-            )
-        t = self.triads[self.pointer]
-        self.pointer += 1
-        return t
-
-    def accepts(self, received: BitString, own: BitString, k: int) -> bool:
-        if not self.honest:
-            return True  # nothing to check against
-        return received.hamming(own) <= k
-
-
-def make_shared_triads(
-    n_triads: int, params: Protocol1Params, rng: np.random.Generator
-) -> list[Triad]:
-    """Fresh random triads; hand the same list object's copies to both
-    parties to model an established shared secret."""
-    return [
-        Triad(
-            random_bitstring(params.n_is, rng),
-            random_bitstring(params.n_is, rng),
-            random_bitstring(params.n_is, rng),
-        )
-        for _ in range(n_triads)
-    ]
-
-
-@dataclass
 class Protocol1Result:
     outcome: IdentOutcome
     distances: dict[int, int]
-    alice_pointer: int
-    bob_pointer: int
-    bits_consumed: int
-    transcript: list[tuple[int, str, BitString, bool]] = field(default_factory=list)
+    transcript: list[tuple[int, str, BitString, bool]]
 
     @property
     def success(self) -> bool:
@@ -161,61 +100,59 @@ def _transmit(
     return BitString(bits.bits ^ noise)
 
 
+def _honest_sides(impostor: str | None) -> dict[str, bool]:
+    """Which sides check what they receive; an impostor checks nothing."""
+    if impostor not in (None, "initiator", "responder"):
+        raise ValueError("impostor must be None, 'initiator' or 'responder'")
+    return {"alice": impostor != "initiator", "bob": impostor != "responder"}
+
+
+def _check_run_args(n: int, impostor: str | None) -> dict[str, bool]:
+    if n < 0:
+        raise ValueError("the number of sessions must be non-negative")
+    return _honest_sides(impostor)
+
+
 def run_protocol1(
-    alice: Party1State,
-    bob: Party1State,
+    alice: SecretPool,
+    bob: SecretPool,
     params: Protocol1Params,
     rng: np.random.Generator | int = 0,
+    impostor: str | None = None,
 ) -> Protocol1Result:
-    """One identification session.
+    """One identification session between the initiator's pool alice
+    and the responder's pool bob.
 
-    Pointers are synchronized first (both adopt the maximum), then one
-    triad is consumed on each side whatever the outcome, and the passes
-    run in _PASSES order until one is rejected.  The channel flips each
-    bit at the design error rate params.eps.
+    The pools are synchronized first, then params.triad_bits bits are
+    consumed from each whatever the outcome, and the passes run in
+    _PASSES order until one is rejected.  impostor ("initiator" or
+    "responder") names a side that checks nothing.  The channel flips
+    each bit at the design error rate params.eps.
     """
+    honest = _honest_sides(impostor)
     rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
-
-    synced = pointer_sync(alice.pointer, bob.pointer)
-    alice.pointer = synced
-    bob.pointer = synced
-    if alice.remaining < 1 or bob.remaining < 1:
-        raise PoolExhausted("no unused identification triads after sync")
-
-    parties = {"alice": alice, "bob": bob}
-    triads = {"alice": alice.next_triad(), "bob": bob.next_triad()}
+    sync_pools(alice, bob, params.triad_bits)
+    n = params.n_is
+    bits = {"alice": alice.consume(params.triad_bits),
+            "bob": bob.consume(params.triad_bits)}
     transcript: list[tuple[int, str, BitString, bool]] = []
     distances: dict[int, int] = {}
     outcome = IdentOutcome.SUCCESS
     for i, (sender, checker) in enumerate(_PASSES):
-        own = triads[checker].parts[i]
-        received = _transmit(triads[sender].parts[i], params.eps, rng)
-        ok = parties[checker].accepts(received, own, params.k)
+        own = bits[checker][i * n : (i + 1) * n]
+        received = _transmit(bits[sender][i * n : (i + 1) * n], params.eps, rng)
         distances[i + 1] = received.hamming(own)
+        ok = not honest[checker] or distances[i + 1] <= params.k
         transcript.append((i + 1, f"{sender[0]}->{checker[0]}".upper(), received, ok))
         if not ok:
             outcome = list(IdentOutcome)[i + 1]
             break
-    return Protocol1Result(
-        outcome=outcome,
-        distances=distances,
-        alice_pointer=alice.pointer,
-        bob_pointer=bob.pointer,
-        bits_consumed=params.triad_bits,
-        transcript=transcript,
-    )
+    return Protocol1Result(outcome=outcome, distances=distances, transcript=transcript)
 
 
 # Trials simulated per array step, so that a chunk's bits and one pass's
 # noise draws stay at about a megabyte whatever n_trials is.
 TRIAL_CHUNK = 2048
-
-
-def _check_run_args(n: int, impostor: str | None) -> None:
-    if n < 0:
-        raise ValueError("the number of sessions must be non-negative")
-    if impostor not in (None, "initiator", "responder"):
-        raise ValueError("impostor must be None, 'initiator' or 'responder'")
 
 
 def run_trials(
@@ -227,7 +164,7 @@ def run_trials(
     """Outcome counts over independent single-triad sessions.
 
     impostor replaces one side ("initiator" or "responder") with a
-    fabricating adversary holding no valid triads.  The sessions are
+    fabricating adversary that shares no pool.  The sessions are
     simulated bit by bit as arrays, TRIAL_CHUNK at a time: every triad
     and fabricated part is drawn, and so is the channel noise of each
     pass an honest party checks; each such pass's Hamming distance is
@@ -236,10 +173,9 @@ def run_trials(
     same law as run_sessions, which plays each session through
     run_protocol1, but not the same draws at a given seed.
     """
-    _check_run_args(n_trials, impostor)
+    honest = _check_run_args(n_trials, impostor)
     rng = make_rng(seed)
     shape = (3, params.n_is)
-    honest = {"alice": impostor != "initiator", "bob": impostor != "responder"}
     tally = np.zeros(len(IdentOutcome), dtype=np.int64)
     for done in range(0, n_trials, TRIAL_CHUNK):
         m = min(TRIAL_CHUNK, n_trials - done)
@@ -267,27 +203,25 @@ def run_sessions(
     impostor: str | None = None,
 ) -> dict[IdentOutcome, int]:
     """Outcome counts of n_sessions played one at a time through
-    run_protocol1, each with fresh Party1States and one triad.
+    run_protocol1, each between fresh pools that hold one triad's bits.
 
     The per-session reference for run_trials, and what
     ``qident protocol1`` runs.
     """
     _check_run_args(n_sessions, impostor)
     rng = make_rng(seed)
+
+    def triad() -> BitString:  # three parts, drawn one at a time
+        is1, is2, is3 = (random_bitstring(params.n_is, rng) for _ in range(3))
+        return is1 + is2 + is3
+
     counts = {o: 0 for o in IdentOutcome}
     for _ in range(n_sessions):
-        shared = make_shared_triads(1, params, rng)
-        if impostor == "initiator":  # an impostor brings random guesses
-            alice = Party1State(make_shared_triads(1, params, rng), Role.ALICE, honest=False)
-            bob = Party1State(shared, Role.BOB)
-        elif impostor == "responder":
-            alice = Party1State(shared, Role.ALICE)
-            bob = Party1State(make_shared_triads(1, params, rng), Role.BOB, honest=False)
-        else:
-            alice = Party1State(list(shared), Role.ALICE)
-            bob = Party1State(list(shared), Role.BOB)
-        result = run_protocol1(alice, bob, params, rng)
-        counts[result.outcome] += 1
+        shared = triad()
+        fake = triad() if impostor else shared  # an impostor's random guesses
+        alice = SecretPool(fake if impostor == "initiator" else shared)
+        bob = SecretPool(fake if impostor == "responder" else shared)
+        counts[run_protocol1(alice, bob, params, rng, impostor).outcome] += 1
     return counts
 
 

@@ -71,14 +71,13 @@ from .budget import (
 from .channel import EveParams, EveStrategy, run_qkd
 from .core import (
     BitString,
-    PoolExhausted,
     QidentError,
     SecretPool,
     make_rng,
     pack_uints,
-    pointer_sync,
     random_bitstring,
     spawn_streams,
+    sync_pools,
     unpack_uints,
 )
 from .estimation import NoSolution, solve_eps_limit
@@ -611,15 +610,7 @@ def run_protocol2(
         shared = random_bitstring(default_pool_bits(n, s), pool_rng)
         alice_pool, bob_pool = SecretPool(shared), SecretPool(shared)
 
-    synced = pointer_sync(alice_pool.pointer, bob_pool.pointer)
-    alice_pool.advance_to(synced)
-    bob_pool.advance_to(synced)
-    floor = planned_key_consumption(n, s)
-    if alice_pool.remaining < floor or bob_pool.remaining < floor:
-        raise PoolExhausted(
-            f"pools hold {min(alice_pool.remaining, bob_pool.remaining)} "
-            f"unused bits, the session floor is {floor}"
-        )
+    sync_pools(alice_pool, bob_pool, planned_key_consumption(n, s))
 
     run = run_qkd(params, qkd_rng, adversary.eve)
     res = Protocol2Result(alice_pool, bob_pool, n_sifted=run.n_sifted)

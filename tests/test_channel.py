@@ -5,6 +5,7 @@ expectations at fixed seeds; structural assertions (passive adversaries
 leaving the honest view untouched, draw-layout determinism) are exact.
 """
 
+import csv
 import io
 import math
 from dataclasses import replace
@@ -20,7 +21,6 @@ from qident.channel import (
     detection_probability,
     expected_sifted_count,
     run_qkd,
-    transcript_rows,
     write_transcript_csv,
 )
 
@@ -180,14 +180,17 @@ class TestPassiveAdversaries:
 class TestTranscript:
     def test_rows_cover_every_pulse(self):
         run = run_qkd(replace(PARAMS, n_pulses=500), seed=18)
-        rows = list(transcript_rows(run))
-        assert len(rows) == 500
-        for pulse, a_bit, a_basis, b_basis, det, b_bit in rows:
-            assert a_bit in (0, 1) and a_basis in (0, 1) and b_basis in (0, 1)
-            if det:
-                assert b_bit in (0, 1)
-            else:
-                assert b_bit == ""
+        buf = io.StringIO()
+        write_transcript_csv(run, buf)
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        assert [int(r[0]) for r in rows] == list(range(500))
+        cols = np.array([r[1:5] for r in rows], dtype=np.uint8).T
+        for col, want in zip(cols, (run.alice_bits, run.alice_bases,
+                                    run.bob_bases, run.bob_detected)):
+            assert np.array_equal(col, want)
+        assert [r[5] for r in rows] == [
+            str(b) if d else "" for b, d in zip(run.bob_bits, run.bob_detected)]
+        assert {r[5] for r in rows} == {"", "0", "1"}
 
     def test_csv_shape(self):
         run = run_qkd(replace(PARAMS, n_pulses=50), seed=19)

@@ -87,6 +87,18 @@ class TestSimulateQkd:
         assert rows[0] == "pulse,alice_bit,alice_basis,bob_basis,detected,bob_bit"
         assert len(rows) == 301
 
+    @pytest.mark.parametrize("n_pulses,seed,digest", [
+        (300, 0, "056eb0aa90cb524ae0041e3b2c855f6942ca77554fad8cb53c878100ee5702eb"),
+        (100_000, 3, "6af301068ea1975405512652672c338e60f3dad1bf2fa6542904e8c4254ee84e"),
+    ])
+    def test_dump_pinned(self, capsys, tmp_path, n_pulses, seed, digest):
+        cfg = write_config(tmp_path, f"n_pulses = {n_pulses}\n")
+        dump = tmp_path / "pulses.csv"
+        code, _, _ = run_cli(capsys, "simulate-qkd", "--config", cfg,
+                             "--seed", str(seed), "--dump", str(dump))
+        assert code == 0
+        assert hashlib.sha256(dump.read_bytes()).hexdigest() == digest
+
     def test_dump_needs_single_trial(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "n_pulses = 300\n")
         code, _, err = run_cli(
@@ -128,6 +140,18 @@ class TestProtocol1Command:
         )
         assert code == 1
         assert "success,0" in out
+
+    @pytest.mark.parametrize("impostor,digest", [
+        ("initiator", "f4f72baad03a51c0946a4bc6735b888b46be2dc11ac215de14f044180a3facb4"),
+        ("responder", "587b515994e55529843e005f766ba83a521cfeaa891ae2951b14fd55df0130c4"),
+    ])
+    def test_impostor_csv_pinned(self, capsys, tmp_path, impostor, digest):
+        cfg = write_config(tmp_path, f"impostor = {impostor}\n")
+        out = tmp_path / "p1.csv"
+        code, _, _ = run_cli(capsys, "protocol1", "--config", cfg, "--seed", "4",
+                             "--trials", "30", "--out", str(out))
+        assert code == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_runs_each_session_through_run_protocol1(self, capsys, tmp_path,
                                                      monkeypatch):

@@ -10,13 +10,12 @@ from qident.core import (
     LengthMismatch,
     PoolExhausted,
     SecretPool,
-    Triad,
     make_rng,
     pack_uints,
-    pointer_sync,
     random_bitstring,
     spawn_streams,
     strict_ceil,
+    sync_pools,
     unpack_uints,
 )
 
@@ -100,15 +99,6 @@ class TestBitString:
         assert len(b) == n
 
 
-class TestTriad:
-    def test_equal_lengths_enforced(self):
-        one = BitString.from01("10")
-        with pytest.raises(LengthMismatch):
-            Triad(one, one, BitString.from01("1"))
-        t = Triad(one, one, one)
-        assert t.n_is == 2
-
-
 class TestSecretPool:
     def test_consume_advances(self, rng):
         store = random_bitstring(100, rng)
@@ -149,12 +139,21 @@ class TestSecretPool:
         assert pool.consume(5) == extra
 
 
-def test_pointer_sync_takes_maximum():
-    assert pointer_sync(10, 30) == 30
-    assert pointer_sync(30, 10) == 30
-    assert pointer_sync(7, 7) == 7
-    with pytest.raises(ValueError):
-        pointer_sync(-1, 0)
+def test_sync_pools_takes_maximum(rng):
+    store = random_bitstring(100, rng)
+    for local, remote in ((10, 30), (30, 10), (7, 7)):
+        a, b = SecretPool(store), SecretPool(store)
+        a.advance_to(local)
+        b.advance_to(remote)
+        sync_pools(a, b, 100 - max(local, remote))
+        assert a.pointer == b.pointer == max(local, remote)
+    # too few unused bits after sync: the pointers stop at the sync point
+    # and nothing is consumed
+    a, b = SecretPool(store), SecretPool(store)
+    b.advance_to(30)
+    with pytest.raises(PoolExhausted):
+        sync_pools(a, b, 71)
+    assert a.pointer == b.pointer == 30
 
 
 class TestRandomness:

@@ -1,8 +1,8 @@
-"""Triad identification protocol tests.
+"""Three-pass identification protocol tests.
 
 Monte-Carlo rates are checked against exact binomial references at
-four-sigma margins; bookkeeping (pointer advance, single-use triads,
-abort attribution) is checked exactly.
+four-sigma margins; bookkeeping (pool pointer advance, single-use
+triad bits, abort attribution) is checked exactly.
 """
 
 import math
@@ -13,23 +13,14 @@ import pytest
 from scipy import stats
 
 from qident.budget import deception_probability_exact
-from qident.core import (
-    BitString,
-    LengthMismatch,
-    PoolExhausted,
-    Triad,
-    random_bitstring,
-)
+from qident.core import BitString, PoolExhausted, SecretPool, random_bitstring
 from qident.protocol1 import (
     TRIAL_CHUNK,
     IdentOutcome,
-    Party1State,
     Protocol1Params,
-    Role,
     eve_impersonation_frequency,
     expected_success_probability,
     impostor_pass_probability,
-    make_shared_triads,
     run_protocol1,
     run_sessions,
     run_trials,
@@ -51,11 +42,8 @@ def same_rate(c1, n1, c2, n2):
 
 
 def fresh_pair(rng, n_triads=1, params=PARAMS):
-    shared = make_shared_triads(n_triads, params, rng)
-    return (
-        Party1State(list(shared), Role.ALICE),
-        Party1State(list(shared), Role.BOB),
-    )
+    shared = random_bitstring(n_triads * params.triad_bits, rng)
+    return SecretPool(shared), SecretPool(shared)
 
 
 class TestParams:
@@ -65,16 +53,25 @@ class TestParams:
         assert Protocol1Params(n_is=100, eps=0.0).k == 1
         assert PARAMS.triad_bits == 150
 
-    def test_compare_with_tolerance(self):
-        # an honest checker accepts at Hamming distance up to k
-        a = BitString.from01("10110")
-        checker = Party1State([], Role.BOB)
-        assert checker.accepts(a, a, 0)
-        assert checker.accepts(a.flipped(2), a, 1)
-        assert not checker.accepts(a.flipped(2), a, 0)
-        assert Party1State([], Role.BOB, honest=False).accepts(a.flipped(2), a, 0)
-        with pytest.raises(LengthMismatch):
-            checker.accepts(a, BitString.from01("10"), 1)
+    def test_compare_with_tolerance(self, rng):
+        # an honest checker accepts at Hamming distance up to k = 1; an
+        # impostor's side checks nothing
+        shared = random_bitstring(PARAMS.triad_bits, rng)
+        for flips, impostor, outcome in [
+            ((), None, IdentOutcome.SUCCESS),
+            ((3,), None, IdentOutcome.SUCCESS),
+            ((3, 7), None, IdentOutcome.ABORT_PASS1),
+            ((3, 7), "responder", IdentOutcome.SUCCESS),
+            ((53, 57), None, IdentOutcome.ABORT_PASS2),
+            ((53, 57), "initiator", IdentOutcome.SUCCESS),
+        ]:
+            other = shared
+            for i in flips:
+                other = other.flipped(i)
+            res = run_protocol1(SecretPool(shared), SecretPool(other), NOISELESS,
+                                rng, impostor)
+            assert res.outcome is outcome, (flips, impostor)
+            assert sum(res.distances.values()) == len(flips)
 
 
 class TestBookkeeping:
@@ -84,28 +81,44 @@ class TestBookkeeping:
         assert res.outcome is IdentOutcome.SUCCESS
         assert res.success
         assert res.distances == {1: 0, 2: 0, 3: 0}
-        assert res.bits_consumed == 150
+        assert alice.pointer == bob.pointer == PARAMS.triad_bits
 
     def test_triad_burned_even_on_abort(self, rng):
-        alice, bob = fresh_pair(rng, n_triads=2)
-        bob.triads[0] = make_shared_triads(1, PARAMS, rng)[0]  # desync
+        shared = random_bitstring(2 * PARAMS.triad_bits, rng)
+        alice = SecretPool(shared)
+        bob = SecretPool(random_bitstring(PARAMS.triad_bits, rng)
+                         + shared[PARAMS.triad_bits:])  # desync
         res = run_protocol1(alice, bob, NOISELESS, rng)
         assert res.outcome is IdentOutcome.ABORT_PASS1
-        assert alice.pointer == bob.pointer == 1
-        assert alice.remaining == bob.remaining == 1
+        assert alice.pointer == bob.pointer == PARAMS.triad_bits
+        assert alice.remaining == bob.remaining == PARAMS.triad_bits
+        # the next session reads the next bits, which still agree
+        assert run_protocol1(alice, bob, NOISELESS, rng).success
 
     def test_pointer_sync_runs_first(self, rng):
         alice, bob = fresh_pair(rng, n_triads=3)
-        bob.pointer = 2  # bob burned triads in sessions alice missed
+        bob.advance_to(2 * PARAMS.triad_bits)  # sessions alice missed
         res = run_protocol1(alice, bob, NOISELESS, rng)
         assert res.outcome is IdentOutcome.SUCCESS
-        assert alice.pointer == bob.pointer == 3
+        assert alice.pointer == bob.pointer == 3 * PARAMS.triad_bits
 
     def test_exhaustion(self, rng):
         alice, bob = fresh_pair(rng, n_triads=1)
         run_protocol1(alice, bob, NOISELESS, rng)
         with pytest.raises(PoolExhausted):
             run_protocol1(alice, bob, PARAMS, rng)
+
+    @pytest.mark.parametrize("short", ["alice", "bob"])
+    def test_short_pool_after_sync_consumes_nothing(self, rng, short):
+        # both pools hold two triads' bits, but one loses its last 50 bits;
+        # the other has already used a triad, so sync moves both to 150
+        shared = random_bitstring(2 * PARAMS.triad_bits, rng)
+        pools = {"alice": SecretPool(shared), "bob": SecretPool(shared)}
+        pools[short] = SecretPool(shared[:-PARAMS.n_is])
+        pools["bob" if short == "alice" else "alice"].advance_to(PARAMS.triad_bits)
+        with pytest.raises(PoolExhausted):
+            run_protocol1(pools["alice"], pools["bob"], PARAMS, rng)
+        assert pools["alice"].pointer == pools["bob"].pointer == PARAMS.triad_bits
 
     def test_transcript_records_three_passes(self, rng):
         alice, bob = fresh_pair(rng)
@@ -154,9 +167,13 @@ class TestImpostor:
         assert counts[IdentOutcome.ABORT_PASS1] == 0  # impostor checks nothing
         assert counts[IdentOutcome.ABORT_PASS2] >= 380
 
-    def test_rejects_unknown_impostor(self):
+    def test_rejects_unknown_impostor(self, rng):
         with pytest.raises(ValueError):
             run_trials(PARAMS, 1, impostor="middle")
+        alice, bob = fresh_pair(rng)
+        with pytest.raises(ValueError):
+            run_protocol1(alice, bob, PARAMS, rng, impostor="middle")
+        assert alice.pointer == bob.pointer == 0
 
     def test_pass_probability_is_negligible(self):
         q = impostor_pass_probability(PARAMS)
@@ -168,17 +185,16 @@ class TestImpostor:
         # a new session with it; the responder has moved to a new triad
         alice, bob = fresh_pair(rng, n_triads=2)
         first = run_protocol1(alice, bob, NOISELESS, rng)
+        assert first.success
         captured = first.transcript[0][2]
-        eve = Party1State(
-            [Triad(captured, random_bitstring(50, rng), random_bitstring(50, rng))],
-            Role.ALICE,
-            pointer=0,
-            honest=False,
-        )
-        eve.pointer = bob.pointer  # keep sync from resetting eve's stack
-        eve.triads = [eve.triads[0]] * (bob.pointer + 1)
-        res = run_protocol1(eve, bob, NOISELESS, rng)
+        # sync advances Eve's pool to Bob's pointer, where she put the
+        # captured part 1
+        eve = SecretPool(BitString.zeros(bob.pointer) + captured
+                         + random_bitstring(2 * PARAMS.n_is, rng))
+        res = run_protocol1(eve, bob, NOISELESS, rng, impostor="initiator")
         assert res.outcome is IdentOutcome.ABORT_PASS1
+        assert res.transcript[0][2] == captured
+        assert eve.pointer == bob.pointer == 2 * PARAMS.triad_bits
 
 
 class TestBatchedLaw:
