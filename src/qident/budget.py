@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .auth import WORD_BITS
 from .core import QidentError, strict_ceil
 
 __all__ = [
@@ -218,15 +219,13 @@ class BudgetParams:
     """Operating point of the authenticated public-channel protocol.
 
     mu: mean photons per pulse leaving the transmitter.
-    eta_tl, eta_bob, eta_det: line, receiver-optics and detector
-        transmissivities; eta optionally pins the overall transmissivity
-        (otherwise the product of the three factors is used).
+    eta: overall transmission-and-detection efficiency; eta_tl: line
+        transmissivity.
     eps: actual sifted-key error rate; eps_max: highest error rate the
         privacy amplification is provisioned for; delta: tolerated
-        probability of an unnoticed estimation failure.
+        probability of an unnoticed estimation failure, above 2**-61,
+        the forgery chance of one 61-bit tag over GF(2**61 - 1).
     s: sample pairs sacrificed for error estimation (2*s bits disclosed).
-    a: authentication tag length in bits; must satisfy
-        a >= strict_ceil(log2(1/delta)).
     n_pulses: pulses per identification-plus-refuelling session.
 
     The beamsplit fraction eta * mu**2 / (8 * eta_tl) must not exceed
@@ -234,74 +233,53 @@ class BudgetParams:
     """
 
     mu: float
+    eta: float
     eta_tl: float
-    eta_bob: float
-    eta_det: float
     eps: float
     eps_max: float
     delta: float
     s: int
-    a: int
     n_pulses: int
-    eta: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.mu < math.inf:
             raise ValueError("mu must be positive and finite")
-        for name in ("eta_tl", "eta_bob", "eta_det"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
+        for name in ("eta", "eta_tl"):
+            if not 0.0 < getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1]")
-        if self.eta is not None and not 0.0 < self.eta <= 1.0:
-            raise ValueError("pinned eta must be in (0, 1]")
         if not 0.0 <= self.eps < 1.0:
             raise ValueError("eps must be in [0, 1)")
         if not 0.0 <= self.eps_max < 1.0:
             raise ValueError("eps_max must be in [0, 1)")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+        if not 2.0 ** -WORD_BITS < self.delta < 1.0:
+            raise ValueError(f"delta must be in (2**-{WORD_BITS}, 1)")
         if self.s < 0:
             raise ValueError("s must be non-negative")
         if self.n_pulses < 2:
             raise ValueError("n_pulses must be at least 2")
-        min_a = strict_ceil(math.log2(1.0 / self.delta))
-        if self.a < min_a:
-            raise ValueError(
-                f"tag length a={self.a} below strict_ceil(log2(1/delta))={min_a}"
-            )
-        if self.eta_overall * (self.mu * self.mu) / (8.0 * self.eta_tl) > 1.0:
+        if self.eta * (self.mu * self.mu) / (8.0 * self.eta_tl) > 1.0:
             raise ValueError(
                 f"beamsplit fraction eta*mu**2/(8*eta_tl) above one at "
-                f"mu={self.mu}, eta={self.eta_overall}, eta_tl={self.eta_tl}"
+                f"mu={self.mu}, eta={self.eta}, eta_tl={self.eta_tl}"
             )
-
-    @property
-    def eta_overall(self) -> float:
-        """Overall transmissivity; the pinned value wins if present."""
-        if self.eta is not None:
-            return self.eta
-        return self.eta_tl * self.eta_bob * self.eta_det
 
     @classmethod
     def reference(cls) -> "BudgetParams":
         """Reference operating point used throughout the documentation.
 
-        The overall transmissivity is pinned to 0.12, the rounded product
-        of the three factors, so that the headline budget numbers come
-        out exactly.
+        eta = 0.12 is the rounded product of the line, receiver-optics
+        and detector transmissivities 0.63 * 0.35 * 0.55, so that the
+        headline budget numbers come out exactly.
         """
         return cls(
             mu=0.8,
+            eta=0.12,
             eta_tl=0.63,
-            eta_bob=0.35,
-            eta_det=0.55,
             eps=0.004,
             eps_max=0.07,
             delta=1e-10,
             s=1000,
-            a=61,
             n_pulses=6_250_000,
-            eta=0.12,
         )
 
 
@@ -319,27 +297,27 @@ def position_bits(n_pulses):
     return int(width) if width.ndim == 0 else width
 
 
-def min_initial_secret_bits(n_pulses, s: int, a: int):
+def min_initial_secret_bits(n_pulses, s: int):
     """Secret bits consumed by one session's three authenticated messages:
-    2s*(position_bits(N) + 2) + 32 + 3a.
+    2s*(position_bits(N) + 2) + 32 + 3*61.
 
     Each message costs key material roughly equal to its length plus one
-    tag; the three payloads are 2s*position_bits(N) position bits, 4s
-    basis-and-value bits and a 32-bit verdict.  n_pulses may be an
+    61-bit tag; the three payloads are 2s*position_bits(N) position bits,
+    4s basis-and-value bits and a 32-bit verdict.  n_pulses may be an
     integer array, and the result then has its shape.
     """
     n = np.asarray(n_pulses, dtype=np.int64)
     if np.any(n < 2):
         raise ValueError("n_pulses must be at least 2")
-    if s < 0 or a < 0:
-        raise ValueError("s and a must be non-negative")
-    bits = 2 * s * (position_bits(n) + 2) + 32 + 3 * a
+    if s < 0:
+        raise ValueError("s must be non-negative")
+    bits = 2 * s * (position_bits(n) + 2) + 32 + 3 * WORD_BITS
     return int(bits) if np.ndim(bits) == 0 else bits
 
 
 def expected_sifted_len(params: BudgetParams) -> float:
     """Expected sifted-key length eta * mu * N / 2 (small-mu linear form)."""
-    return 0.5 * params.eta_overall * params.mu * params.n_pulses
+    return 0.5 * params.eta * params.mu * params.n_pulses
 
 
 def corrected_len(n_sifted, eps: float):
@@ -391,9 +369,8 @@ def _budget_terms(params: BudgetParams, mu, n) -> DistilledTerms:
     (mu, N) point gives.  mu is squared as mu * mu, which is correctly
     rounded; C pow(mu, 2) can be one ulp away off the 0.01 grid.
     """
-    eta = params.eta_overall
-    n_s = 0.5 * eta * mu * n
-    beam_frac = eta * (mu * mu) / (8.0 * params.eta_tl)
+    n_s = 0.5 * params.eta * mu * n
+    beam_frac = params.eta * (mu * mu) / (8.0 * params.eta_tl)
     var = n * beam_frac * (1.0 - beam_frac) + (
         2.0 * (LN2 + 1.0) * n_s * params.eps_max / LN2 ** 2
     )
@@ -499,7 +476,7 @@ def break_even_grid(
             gained = rate.max(axis=1) * n
         else:
             gained = _budget_terms(params, at, n).total
-        return gained / min_initial_secret_bits(n, params.s, params.a) >= 1.0
+        return gained / min_initial_secret_bits(n, params.s) >= 1.0
 
     flat = mu.ravel()
     out = np.full(flat.shape, NEVER, dtype=np.int64)

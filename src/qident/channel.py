@@ -84,7 +84,7 @@ class EveParams:
 
 def detection_probability(params: BudgetParams) -> float:
     """Poissonian click probability 1 - exp(-eta * mu)."""
-    return -math.expm1(-params.eta_overall * params.mu)
+    return -math.expm1(-params.eta * params.mu)
 
 
 def expected_sifted_count(params: BudgetParams) -> float:
@@ -181,7 +181,7 @@ def run_qkd(
     if params.eps >= 0.5:
         raise ValueError(f"channel error rate eps={params.eps} must lie below 1/2")
     n = params.n_pulses
-    rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
+    rng = make_rng(seed)
     rng_alice, rng_bob, rng_eve = spawn_streams(rng, 3)
 
     alice_bits = rng_alice.integers(0, 2, n, dtype=np.uint8)

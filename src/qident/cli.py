@@ -2,6 +2,8 @@
 
     qident <command> [--config FILE] [--seed N] [--trials N] [--out FILE]
 
+--trials is taken by simulate-qkd, protocol1 and protocol2 only.
+
 Commands
     simulate-qkd   Monte-Carlo transmission sessions, sifting statistics
     protocol1      identification sessions over the unjammable channel
@@ -69,14 +71,11 @@ _SPECS: dict[str, tuple] = {
     "n_pulses": (int, _pos_int(2), "integer >= 2"),
     "mu": (float, lambda v: 0.0 < v <= 1.5, "in (0, 1.5]"),
     "eta_tl": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "eta_bob": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
-    "eta_det": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "eta": (float, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "eps": (float, lambda v: 0.0 <= v < 0.5, "in [0, 1/2)"),
     "eps_max": (float, lambda v: 0.0 < v < 0.5, "in (0, 1/2)"),
     "delta": (float, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "s": (int, _pos_int(1), "integer >= 1"),
-    "a": (int, _pos_int(1), "integer >= 1"),
     "n_is": (int, _pos_int(1), "integer >= 1"),
     "p_bar": (float, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
     "strategy": (str, lambda v: v in ("none", "intercept-resend", "beamsplit",
@@ -198,8 +197,9 @@ def cmd_simulate_qkd(args, cfg) -> int:
 
 
 def cmd_protocol1(args, cfg) -> int:
+    default = protocol1.Protocol1Params()
     params = protocol1.Protocol1Params(
-        n_is=cfg.get("n_is", 50), eps=cfg.get("eps", 0.01)
+        n_is=cfg.get("n_is", default.n_is), eps=cfg.get("eps", default.eps)
     )
     impostor = cfg.get("impostor", "none")
     counts = protocol1.run_sessions(
@@ -244,8 +244,9 @@ def cmd_protocol2(args, cfg) -> int:
 
 
 def cmd_deception(args, cfg) -> int:
-    n_is = cfg.get("n_is", 50)
-    eps_pt = cfg.get("eps", 0.01)
+    default = protocol1.Protocol1Params()
+    n_is = cfg.get("n_is", default.n_is)
+    eps_pt = cfg.get("eps", default.eps)
     p_bar_pt = cfg.get("p_bar")
     if p_bar_pt is None:
         p_bar_pt = 0.5 + (eps_pt * (1.0 - eps_pt)) ** 0.5  # optimal-attack rate
@@ -280,9 +281,10 @@ def cmd_deception(args, cfg) -> int:
 
 
 def cmd_epslim(args, cfg) -> int:
-    s_pt = cfg.get("s", 1000)
-    delta = cfg.get("delta", 1e-10)
-    eps_max = cfg.get("eps_max", 0.07)
+    ref = BudgetParams.reference()
+    s_pt = cfg.get("s", ref.s)
+    delta = cfg.get("delta", ref.delta)
+    eps_max = cfg.get("eps_max", ref.eps_max)
     limit = estimation.solve_eps_limit(s_pt, delta, eps_max)
     _say(f"s={s_pt} delta={delta} eps_max={eps_max}")
     _say(f"acceptance limit on observed error rate: {limit:.5f}")
@@ -304,11 +306,11 @@ def cmd_epslim(args, cfg) -> int:
 
 def cmd_budget(args, cfg) -> int:
     params = _budget_params(cfg)
-    b_min = budget.min_initial_secret_bits(params.n_pulses, params.s, params.a)
+    b_min = budget.min_initial_secret_bits(params.n_pulses, params.s)
     planned = protocol2.planned_key_consumption(params.n_pulses, params.s)
     terms = budget.distilled_terms(params)
     _say(f"operating point: N={params.n_pulses} mu={params.mu} "
-         f"eta={params.eta_overall:.6g} eps={params.eps}")
+         f"eta={params.eta:.6g} eps={params.eps}")
     _say(f"minimum initial secret      {b_min}")
     _say(f"planned key consumption     {planned}")
     _say(f"expected sifted length      {budget.expected_sifted_len(params):.1f}")
@@ -323,7 +325,7 @@ def cmd_budget(args, cfg) -> int:
           ["n_pulses", "mu", "eta", "eps", "b_min", "planned", "sifted",
            "corrected", "beamsplit", "probe_attack", "five_sigma",
            "pa_compression", "distilled", "net"],
-          [(params.n_pulses, params.mu, params.eta_overall, params.eps, b_min,
+          [(params.n_pulses, params.mu, params.eta, params.eps, b_min,
             planned, budget.expected_sifted_len(params), terms.corrected,
             terms.beamsplit, terms.probe_attack, terms.five_sigma,
             terms.pa_compression, terms.total, terms.total - planned)])
@@ -432,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="key = value parameter file")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--trials", type=int, default=1, help="number of sessions")
         p.add_argument("--out", help="write the CSV here instead of stdout")
 
     for name, fn in [
@@ -446,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name)
         common(p)
+        if name in ("simulate-qkd", "protocol1", "protocol2"):
+            p.add_argument("--trials", type=int, default=1, help="number of sessions")
         if name == "simulate-qkd":
             p.add_argument("--dump", help="write a per-pulse transcript CSV here")
         p.set_defaults(fn=fn)
@@ -458,14 +461,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--words", type=int, help="key words (default: fit message)")
         if name == "auth-verify":
             p.add_argument("--tag", help="16 hex digits")
-        p.set_defaults(fn=fn, config=None, seed=0, trials=1, out=None)
+        p.set_defaults(fn=fn, config=None, seed=0, out=None)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.trials < 1:
+    if getattr(args, "trials", 1) < 1:
         print("error: --trials must be positive", file=sys.stderr)
         return 2
     if args.command in ("auth-tag", "auth-verify") and not args.vectors:

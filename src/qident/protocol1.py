@@ -130,7 +130,7 @@ def run_protocol1(
     each bit at the design error rate params.eps.
     """
     honest = _honest_sides(impostor)
-    rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
+    rng = make_rng(rng)
     sync_pools(alice, bob, params.triad_bits)
     n = params.n_is
     bits = {"alice": alice.consume(params.triad_bits),
@@ -238,7 +238,7 @@ def eve_impersonation_frequency(
     and succeeds when at most params.k guesses are wrong.  The attempts
     are drawn TRIAL_CHUNK rows at a time.
     """
-    rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
+    rng = make_rng(rng)
     probs = np.asarray(eve_bit_probs, dtype=float)
     if probs.ndim != 1 or probs.size != params.n_is:
         raise ValueError(f"need exactly {params.n_is} per-bit probabilities")

@@ -593,11 +593,6 @@ def run_protocol2(
     """
     if adversary is None:
         adversary = AdversaryScript()
-    if params.a != auth.WORD_BITS:
-        raise ValueError(
-            f"authentication tag width {params.a} does not match the "
-            f"{auth.WORD_BITS}-bit production field"
-        )
     if 2 * params.s >= 1 << 16:
         raise ValueError(f"2s = {2 * params.s} overflows the verdict's 16-bit k field")
     if (alice_pool is None) != (bob_pool is None):
@@ -669,7 +664,7 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
         "announce", lambda p: _parse_announce(p, n))
 
     # A re-applies the acceptance test with her own view of s_real
-    in_sample = np.isin(ann_pos, sample_at_alice)
+    in_sample = np.isin(ann_pos, sample_at_alice, assume_unique=True)
     alice_matched = run.alice_bases[ann_pos] == ann_bases
     res.alice_recheck = _accepts(k_at_alice, int((in_sample & alice_matched).sum()), params)
     if not res.alice_recheck:
@@ -682,7 +677,8 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
 
     # the refuelling key: basis-matched positions outside the disclosed sample
     alice_key = run.alice_bits[ann_pos[alice_matched & ~in_sample]]
-    bob_key = run.bob_bits[det_idx[mask_at_bob & ~np.isin(det_idx, sample)]]
+    unsampled = ~np.isin(det_idx, sample, assume_unique=True)
+    bob_key = run.bob_bits[det_idx[mask_at_bob & unsampled]]
     res.n_key = int(alice_key.size)
     if alice_key.size != bob_key.size or alice_key.size == 0:
         raise _Stop("no-key-bits")

@@ -69,7 +69,7 @@ def test_criterion_4_budget_figures():
     t0 = time.perf_counter()
     params = BudgetParams.reference()
     sifted = budget.expected_sifted_len(params)
-    b_min = budget.min_initial_secret_bits(params.n_pulses, params.s, params.a)
+    b_min = budget.min_initial_secret_bits(params.n_pulses, params.s)
     distilled = budget.distilled_len(params)
     dt = time.perf_counter() - t0
     ok = (

@@ -193,14 +193,14 @@ class TestInformationCurves:
 
 class TestBudgetFormulas:
     def test_min_initial_secret_bits_anchor(self):
-        assert min_initial_secret_bits(6_250_000, 1000, 61) == 50_215
+        assert min_initial_secret_bits(6_250_000, 1000) == 50_215
 
     def test_min_initial_secret_scales_with_position_width(self):
         # crossing a power of two widens every transmitted position field
         # by one bit, costing exactly two bits per sampled position
         assert (
-            min_initial_secret_bits(2**23, 1000, 61)
-            - min_initial_secret_bits(2**23 - 1, 1000, 61)
+            min_initial_secret_bits(2**23, 1000)
+            - min_initial_secret_bits(2**23 - 1, 1000)
             == 2 * 1000
         )
 
@@ -234,14 +234,13 @@ class TestBudgetFormulas:
         ]
         assert rates == sorted(rates)
 
-    def test_params_validate_tag_length(self):
-        with pytest.raises(ValueError):
-            BudgetParams(
-                mu=0.8, eta_tl=0.63, eta_bob=0.35, eta_det=0.55,
-                eps=0.004, eps_max=0.07, delta=1e-10, s=1000,
-                a=30,  # too short for delta=1e-10
-                n_pulses=1000,
-            )
+    def test_params_refuse_delta_below_one_tag_forgery(self, reference_params):
+        # one 61-bit tag over GF(2**61 - 1) is forged with probability
+        # 2**-61, so no session fails less often than that
+        for delta in (2.0**-61, 2.0**-70, 1e-30):
+            with pytest.raises(ValueError, match=r"delta must be in \(2\*\*-61, 1\)"):
+                replace(reference_params, delta=delta)
+        assert replace(reference_params, delta=2.0**-60).delta == 2.0**-60
 
     def test_params_validate_estimation_fields(self, reference_params):
         # s, eps_max and delta size the Bayesian acceptance test
@@ -258,10 +257,9 @@ class TestBudgetFormulas:
         # eta * mu**2 / (8 * eta_tl) = 2.5: no such share of pulses exists
         with pytest.raises(ValueError, match=r"mu=1\.0, eta=1\.0, eta_tl=0\.05"):
             replace(reference_params, eta=1.0, eta_tl=0.05, mu=1.0)
-        # the same fraction from the product of the three factors
+        # the same fraction at an intensity past one
         with pytest.raises(ValueError, match="beamsplit fraction"):
-            replace(reference_params, eta=None, eta_tl=0.05, eta_bob=1.0,
-                    eta_det=1.0, mu=3.0)
+            replace(reference_params, eta=0.05, eta_tl=0.05, mu=3.0)
         edge = replace(reference_params, eta=1.0, eta_tl=0.125, mu=1.0)  # exactly one
         assert distilled_terms(edge).beamsplit == edge.n_pulses
 
@@ -297,7 +295,7 @@ class TestOptimization:
     def test_lossier_line_prefers_weaker_pulses(self, reference_params):
         # a lossier transmission line inflates the passive-tap penalty,
         # pushing the best intensity down
-        lossy = replace(reference_params, eta_tl=0.2, eta=None)
+        lossy = replace(reference_params, eta_tl=0.2, eta=0.2 * 0.35 * 0.55)
         mu_lossy, _ = optimize_intensity(lossy)
         mu_ref, _ = optimize_intensity(reference_params)
         assert mu_lossy < mu_ref
@@ -328,9 +326,7 @@ class TestOptimization:
 
         def net(n):
             p = replace(reference_params, n_pulses=n)
-            return distilled_len(p) - min_initial_secret_bits(
-                n, reference_params.s, reference_params.a
-            )
+            return distilled_len(p) - min_initial_secret_bits(n, reference_params.s)
 
         assert net(n_star) >= 0
         assert net(int(n_star * 0.9)) < net(n_star)
@@ -341,13 +337,13 @@ class TestOptimization:
 # one frozen BudgetParams per grid point and per bisection step.
 
 
-def oracle_min_initial_secret_bits(n_pulses, s, a):
-    return 2 * s * (math.floor(math.log2(n_pulses)) + 1 + 2) + 32 + 3 * a
+def oracle_min_initial_secret_bits(n_pulses, s):
+    return 2 * s * (math.floor(math.log2(n_pulses)) + 1 + 2) + 32 + 3 * 61
 
 
 def oracle_terms(params):
     n = params.n_pulses
-    eta = params.eta_overall
+    eta = params.eta
     n_s = 0.5 * eta * params.mu * n
     n_c = max(0.0, (1.0 - 2.7 * params.eps ** (2.0 / 3.0)) * n_s)
     beam_frac = eta * params.mu ** 2 / (8.0 * params.eta_tl)
@@ -400,7 +396,7 @@ def oracle_break_even_pulses(params, reoptimize_mu=False,
             gained = rate * n
         else:
             gained = oracle_distilled_len_at(p, mu)
-        return gained / consumption(n, params.s, params.a)
+        return gained / consumption(n, params.s)
 
     if ratio(n_lo) >= 1.0:
         return n_lo
@@ -429,24 +425,19 @@ GRID_MU = [float(m) for m in budget.default_mu_grid()] + [0.8]
 
 @st.composite
 def budget_params(draw, mu=st.sampled_from(GRID_MU)):
-    delta = draw(st.floats(1e-12, 0.5))
     fields = dict(
         mu=draw(mu),
+        eta=draw(st.floats(0.002, 1.0)),
         eta_tl=draw(st.floats(0.05, 1.0)),
-        eta_bob=draw(st.floats(0.2, 1.0)),
-        eta_det=draw(st.floats(0.2, 1.0)),
         # mostly near the reference point, where sessions break even
         eps=draw(st.floats(0.0, 0.02) | st.floats(0.0, 0.3)),
         eps_max=draw(st.floats(0.0, 0.1) | st.floats(0.0, 0.3)),
-        delta=delta,
+        delta=draw(st.floats(1e-12, 0.5)),
         s=draw(st.integers(0, 3000)),
-        a=math.floor(math.log2(1.0 / delta)) + 1 + draw(st.integers(0, 5)),
         n_pulses=draw(st.integers(2, 10**8)),
-        eta=draw(st.none() | st.floats(0.01, 1.0)),
     )
     # only points that can be built: a beamsplit fraction of at most one
-    eta = fields["eta"] or fields["eta_tl"] * fields["eta_bob"] * fields["eta_det"]
-    assume(eta * (fields["mu"] * fields["mu"]) / (8.0 * fields["eta_tl"]) <= 1.0)
+    assume(fields["eta"] * (fields["mu"] * fields["mu"]) / (8.0 * fields["eta_tl"]) <= 1.0)
     return BudgetParams(**fields)
 
 
@@ -490,7 +481,7 @@ class TestArrayPathMatchesOracle:
             rates = budget.distilled_per_pulse(at_two, budget.default_mu_grid())
         else:
             rates = budget.distilled_per_pulse(at_two, grid)
-        assert rates.max() * 2 < min_initial_secret_bits(2, params.s, params.a)
+        assert rates.max() * 2 < min_initial_secret_bits(2, params.s)
 
     @settings(max_examples=150, deadline=None)
     @given(budget_params(), st.lists(st.sampled_from(GRID_MU), min_size=1, max_size=40))
@@ -521,7 +512,7 @@ class TestArrayPathMatchesOracle:
         # narrow close to one pulse, so only ratio >= 1 finds 1,234
         p = replace(reference_params, eta=1.0, eta_tl=1.0, mu=1.0)
 
-        def gain(n, s, a):
+        def gain(n, s):
             return oracle_distilled_len(replace(p, n_pulses=int(n))) + (n < 1234)
 
         assert oracle_distilled_len(replace(p, n_pulses=1234)) > 0
@@ -552,9 +543,9 @@ class TestArrayPathMatchesOracle:
     def test_injected_consumption_sees_arrays(self, reference_params, monkeypatch):
         seen = []
 
-        def consumption(n, s, a):
+        def consumption(n, s):
             seen.append(np.shape(n))
-            return min_initial_secret_bits(n, s, a)
+            return min_initial_secret_bits(n, s)
 
         grid = [0.5, 0.8, 0.9]
         monkeypatch.setattr(budget, "min_initial_secret_bits", consumption)
@@ -569,19 +560,18 @@ class TestMinInitialSecretBitsArrays:
         n for k in range(2, 49) for n in (2**k - 1, 2**k, 2**k + 1)]
 
     def test_array_equals_scalar_and_oracle(self):
-        got = min_initial_secret_bits(np.array(self.N, dtype=np.int64), 1000, 61)
+        got = min_initial_secret_bits(np.array(self.N, dtype=np.int64), 1000)
         assert got.dtype == np.int64 and got.shape == (len(self.N),)
-        assert got.tolist() == [min_initial_secret_bits(n, 1000, 61) for n in self.N]
-        assert got.tolist() == [oracle_min_initial_secret_bits(n, 1000, 61)
-                                for n in self.N]
-        assert isinstance(min_initial_secret_bits(6_250_000, 1000, 61), int)
+        assert got.tolist() == [min_initial_secret_bits(n, 1000) for n in self.N]
+        assert got.tolist() == [oracle_min_initial_secret_bits(n, 1000) for n in self.N]
+        assert isinstance(min_initial_secret_bits(6_250_000, 1000), int)
 
     def test_width_is_the_exact_bit_length(self):
         # a rounded log2 overcounts just below 2**49 and up; the exponent
         # does not, up to the int64 limit
         n = [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]
-        got = min_initial_secret_bits(np.array(n, dtype=np.int64), 7, 3)
-        assert got.tolist() == [2 * 7 * (v.bit_length() + 2) + 32 + 9 for v in n]
+        got = min_initial_secret_bits(np.array(n, dtype=np.int64), 7)
+        assert got.tolist() == [2 * 7 * (v.bit_length() + 2) + 32 + 3 * 61 for v in n]
 
     def test_position_bits_is_the_bit_length(self):
         n = [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]
@@ -593,4 +583,4 @@ class TestMinInitialSecretBitsArrays:
 
     def test_rejects_short_sessions_in_arrays(self):
         with pytest.raises(ValueError):
-            min_initial_secret_bits(np.array([5, 1]), 1000, 61)
+            min_initial_secret_bits(np.array([5, 1]), 1000)

@@ -5,6 +5,8 @@ dataset, stderr the human diagnostics, and the exit code the verdict.
 """
 
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,25 @@ class TestConfigParsing:
     def test_out_of_range_names_field(self):
         with pytest.raises(RangeError, match="'mu'"):
             parse_config("mu = 2.0\n")
+
+    @pytest.mark.parametrize("line", ["eta_bob = 0.5", "eta_det = 0.1", "a = 61"])
+    def test_removed_operating_point_keys_are_unknown(self, capsys, tmp_path, line):
+        # the overall efficiency is eta alone and the tag is the field's
+        # 61 bits: a config still setting a factor or a width is refused
+        cfg = write_config(tmp_path, line + "\n")
+        code, out, err = run_cli(capsys, "budget", "--config", cfg)
+        assert code == 2 and out == ""
+        assert f"line 1: unknown configuration key '{line.split()[0]}'" in err
+
+    def test_readme_table_lists_every_key(self):
+        # README's configuration-key table: one row per key of _SPECS, in
+        # order, each with the range the parser enforces
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+        rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.M)
+        assert [key for key, _ in rows] == list(cli._SPECS)
+        assert {key: rng.strip() for key, rng in rows} == {
+            key: spec[2] for key, spec in cli._SPECS.items()}
 
 
 class TestSimulateQkd:
@@ -313,6 +334,13 @@ class TestAnalysisCommands:
             _, out1, _ = run_cli(capsys, cmd)
             _, out2, _ = run_cli(capsys, cmd)
             assert out1 == out2, cmd
+
+    @pytest.mark.parametrize("command", ["deception", "epslim", "budget", "optimize-mu"])
+    def test_trials_refused_where_nothing_repeats(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--trials", "2"])
+        assert stop.value.code == 2
+        assert "--trials" in capsys.readouterr().err
 
 
 # The four criterion-11 CSVs not pinned by the tests above, at the

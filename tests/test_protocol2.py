@@ -154,11 +154,11 @@ class TestSizing:
 
     def test_planned_consumption_and_minimum_share_the_position_width(self):
         # exact widths: from 2**49 - 1 on, a float log2 reads one bit more
-        s, a = 1000, 61
+        s = 1000
         for n in [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]:
             width = n.bit_length()
             assert message_bit_lengths(n, s)[MsgKind.POSITIONS] == 2 * s * width
-            assert min_initial_secret_bits(n, s, a) == 2 * s * (width + 2) + 32 + 3 * a
+            assert min_initial_secret_bits(n, s) == 2 * s * (width + 2) + 32 + 3 * 61
         assert planned_key_consumption(2**49 - 1, s) == 102_297
 
     def test_message_lengths(self):
@@ -174,9 +174,7 @@ class TestSizing:
 
     def test_consumption_covers_the_floor(self):
         for n in (100_000, 1_000_000, 6_250_000):
-            assert planned_key_consumption(n, 1000) >= min_initial_secret_bits(
-                n, 1000, 61
-            )
+            assert planned_key_consumption(n, 1000) >= min_initial_secret_bits(n, 1000)
 
     def test_default_pool_adds_slack(self):
         assert (
@@ -608,7 +606,7 @@ class TestHonestSession:
         assert_pools_mirrored(res)
 
     def test_session_floor_enforced(self):
-        floor = min_initial_secret_bits(100_000, 1000, 61)
+        floor = min_initial_secret_bits(100_000, 1000)
         pools = make_pools(floor - 1)
         with pytest.raises(PoolExhausted):
             run_protocol2(SMALL, seed=4, alice_pool=pools[0], bob_pool=pools[1])
@@ -616,7 +614,7 @@ class TestHonestSession:
     def test_refused_below_the_planned_key_consumption(self):
         # min_initial_secret_bits undercounts the keys' whole encoding
         # words; a session admitted there would run dry at the verdict key
-        b_min = min_initial_secret_bits(100_000, 1000, 61)
+        b_min = min_initial_secret_bits(100_000, 1000)
         assert b_min < planned_key_consumption(100_000, 1000)
         pools = make_pools(b_min)
         with pytest.raises(PoolExhausted):
@@ -660,10 +658,6 @@ class TestHonestSession:
         pool, _ = make_pools(60_000)
         with pytest.raises(ValueError):
             run_protocol2(SMALL, seed=4, alice_pool=pool)
-
-    def test_tag_width_must_match_production_field(self):
-        with pytest.raises(ValueError):
-            run_protocol2(replace(SMALL, a=34), seed=4)
 
     def test_low_sample_count_still_refuels_at_reference_scale(self, monkeypatch):
         # this seed's sample shows k = 2 against a true eps of 0.004; error
