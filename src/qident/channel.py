@@ -1,14 +1,22 @@
 """Monte-Carlo model of the lossy quantum channel used for refuelling.
 
 One run sends n_pulses weak coherent pulses at the operating point of
-a BudgetParams.  Alice draws a uniform bit and basis per pulse; Bob
+a BudgetParams.  Alice sends a uniform bit and basis per pulse; Bob
 draws a basis and detects each pulse with probability
 1 - exp(-eta * mu).  Detected pulses where the bases match form the
 sifted set; matched detections flip with the intrinsic error rate,
-mismatched detections yield a fair coin.  Everything is driven by
-independent child streams of one seed, and the draw layout is fixed so
-that passive eavesdropping leaves Bob's view bit-identical to a clean
-run at the same seed.
+mismatched detections yield a fair coin.
+
+Draw layout.  Alice, Bob and Eve each get a child stream of one seed.
+Detection does not depend on Eve in this model, so Bob's stream first
+draws the detected positions, as cumulative geometric gaps trimmed at
+n_pulses (exact for independent Bernoulli detections), and then his
+basis, noise and coin at those positions only; Eve's stream draws her
+choices there too.  Alice's stream draws one key, and her bit and basis
+at a pulse are two bits of core.counter_hash(key, pulse): defined at
+every pulse, the same however many others are read, and never drawn in
+full.  Passive eavesdropping therefore leaves Bob's view bit-identical
+to a clean run at the same seed, and nothing of pulse length is drawn.
 
 Eavesdropper models:
 
@@ -35,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import BudgetParams, binary_entropy
-from .core import QidentError, make_rng, spawn_streams
+from .core import QidentError, counter_hash, make_rng, spawn_streams
 
 __all__ = [
     "UnsupportedStrategy",
@@ -92,40 +100,70 @@ def expected_sifted_count(params: BudgetParams) -> float:
     return 0.5 * params.n_pulses * detection_probability(params)
 
 
+def _alice_values(key: int, pulses) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's (bits, bases) at the given pulse indices: the top two bits
+    of counter_hash(key, pulse)."""
+    top = (counter_hash(key, pulses) >> np.uint64(62)).astype(np.uint8)
+    return top >> 1, top & 1
+
+
+def _detections(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted pulse indices in [0, n) of independent Bernoulli(p) events:
+    cumulative Geometric(p) gaps, drawn in blocks until they pass n.  A
+    gap is capped at n + 1, which passes n all the same, so that a tiny
+    p cannot overflow the sum."""
+    block = int(n * p + 6.0 * math.sqrt(n * p) + 16)
+    chunks, last = [], -1
+    while last < n:
+        chunk = rng.geometric(p, block)
+        np.minimum(chunk, n + 1, out=chunk)
+        np.cumsum(chunk, out=chunk)
+        chunk += last
+        chunks.append(chunk)
+        last = int(chunk[-1])
+    pos = np.concatenate(chunks)
+    return pos[: np.searchsorted(pos, n)]
+
+
 @dataclass(eq=False, repr=False)
 class QkdRun:
-    """Complete transcript of one simulated run.
+    """Transcript of one simulated run, held at Bob's detections.
 
-    Per-pulse arrays cover all n_pulses slots; bob_bits is only
-    meaningful where bob_detected is set, and eve_known is the BEAMSPLIT
-    tap mask (None for every other model).  Runs compare by identity.
+    detected holds the sorted pulse indices Bob detected; every other
+    array has one entry per detection, eve_known being the BEAMSPLIT tap
+    mask (None for every other model).  Alice's values at any pulse,
+    detected or not, are alice_at(pulses).  Runs compare by identity.
     """
 
     params: BudgetParams
     eve: EveParams
+    alice_key: int
+    detected: np.ndarray
     alice_bits: np.ndarray
     alice_bases: np.ndarray
     bob_bases: np.ndarray
-    bob_detected: np.ndarray
     bob_bits: np.ndarray
     eve_known: np.ndarray | None
-    sifted_idx: np.ndarray = field(init=False)
+    sifted: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.sifted_idx = np.flatnonzero(
-            self.bob_detected & (self.alice_bases == self.bob_bases))
+        # detection indices where the bases match
+        self.sifted = np.flatnonzero(self.alice_bases == self.bob_bases)
+
+    def alice_at(self, pulses) -> tuple[np.ndarray, np.ndarray]:
+        return _alice_values(self.alice_key, pulses)
 
     @property
     def n_detected(self) -> int:
-        return int(self.bob_detected.sum())
+        return int(self.detected.size)
 
     @property
     def n_sifted(self) -> int:
-        return int(self.sifted_idx.size)
+        return int(self.sifted.size)
 
     @property
     def error_count(self) -> int:
-        idx = self.sifted_idx
+        idx = self.sifted
         return int((self.alice_bits[idx] != self.bob_bits[idx]).sum())
 
     @property
@@ -139,7 +177,7 @@ class QkdRun:
         Only the BEAMSPLIT model tracks such a mask."""
         if self.eve_known is None:
             return np.zeros(self.n_sifted, dtype=bool)
-        return self.eve_known[self.sifted_idx]
+        return self.eve_known[self.sifted]
 
     def eve_information_bits(self) -> float:
         """Adversary knowledge of the sifted string, in bits.
@@ -169,8 +207,8 @@ def run_qkd(
 ) -> QkdRun:
     """Simulate one run of params.n_pulses pulses.
 
-    Alice, Bob and Eve each get their own child stream with a fixed
-    draw layout, so Bob's arrays for a given seed are identical under
+    Alice, Bob and Eve each get their own child stream (see the module
+    docstring), so Bob's arrays for a given seed are identical under
     NONE, BEAMSPLIT and PER_BIT_GUESS, and identification-side results
     never depend on whether a passive adversary was modelled.
 
@@ -180,61 +218,56 @@ def run_qkd(
     """
     if params.eps >= 0.5:
         raise ValueError(f"channel error rate eps={params.eps} must lie below 1/2")
-    n = params.n_pulses
     rng = make_rng(seed)
     rng_alice, rng_bob, rng_eve = spawn_streams(rng, 3)
 
-    alice_bits = rng_alice.integers(0, 2, n, dtype=np.uint8)
-    alice_bases = rng_alice.integers(0, 2, n, dtype=np.uint8)
+    alice_key = int(rng_alice.integers(1 << 63))
+    detected = _detections(params.n_pulses, detection_probability(params), rng_bob)
+    m = detected.size
+    alice_bits, alice_bases = _alice_values(alice_key, detected)
 
-    bob_bases = rng_bob.integers(0, 2, n, dtype=np.uint8)
-    u_det = rng_bob.random(n)
-    u_noise = rng_bob.random(n)
-    coin = rng_bob.integers(0, 2, n, dtype=np.uint8)
-
-    detected = u_det < detection_probability(params)
+    bob_bases = rng_bob.integers(0, 2, m, dtype=np.uint8)
+    u_noise = rng_bob.random(m)
+    coin = rng_bob.integers(0, 2, m, dtype=np.uint8)
     matched = alice_bases == bob_bases
 
-    # matched detections start as Alice's bit plus intrinsic noise;
+    # matched detections are Alice's bit plus intrinsic noise;
     # mismatched detections are a fair coin
     flip = u_noise < params.eps
-    bob_bits = np.where(matched, alice_bits ^ flip.astype(np.uint8), coin)
+    bob_bits = np.where(matched, alice_bits ^ flip, coin)
 
     eve_known: np.ndarray | None = None
     if eve.strategy is EveStrategy.INTERCEPT_RESEND:
-        intercepted = rng_eve.random(n) < eve.fraction
-        eve_bases = rng_eve.integers(0, 2, n, dtype=np.uint8)
+        intercepted = rng_eve.random(m) < eve.fraction
+        eve_bases = rng_eve.integers(0, 2, m, dtype=np.uint8)
         # Eve resends in her basis: when it matches Alice's the pulse is
         # faithful, otherwise Bob's matched-basis outcome is a fair coin
         # (reuse the noise draw as the coin: flip Alice's bit at 1/2)
         garbled = intercepted & (eve_bases != alice_bases) & matched
-        refl = u_noise < 0.5
-        bob_bits = np.where(
-            garbled, alice_bits ^ refl.astype(np.uint8), bob_bits
-        ).astype(np.uint8)
+        bob_bits = np.where(garbled, alice_bits ^ (u_noise < 0.5), bob_bits)
     elif eve.strategy is EveStrategy.BEAMSPLIT:
         # a tap probability above one (a very lossy line) taps every pulse
-        eve_known = rng_eve.random(n) < eve.fraction * params.mu / (4.0 * params.eta_tl)
-
-    bob_bits = np.where(detected, bob_bits, 0).astype(np.uint8)
+        eve_known = rng_eve.random(m) < eve.fraction * params.mu / (4.0 * params.eta_tl)
 
     return QkdRun(
         params=params,
         eve=eve,
+        alice_key=alice_key,
+        detected=detected,
         alice_bits=alice_bits,
         alice_bases=alice_bases,
         bob_bases=bob_bases,
-        bob_detected=detected,
         bob_bits=bob_bits,
         eve_known=eve_known,
     )
 
 
 # Each dump row after its pulse number, indexed by alice_bit, alice_basis,
-# bob_basis, detected and bob_bit read as one binary number; bob_bit is
-# blank when the pulse went undetected.
+# bob_basis, detected and bob_bit read as one binary number; Bob's basis
+# and bit are blank when the pulse went undetected.
 _ROW_TAILS = np.array([
-    f",{c >> 4},{c >> 3 & 1},{c >> 2 & 1},{c >> 1 & 1},{c & 1 if c & 2 else ''}\n"
+    f",{c >> 4},{c >> 3 & 1},{c >> 2 & 1 if c & 2 else ''},{c >> 1 & 1},"
+    f"{c & 1 if c & 2 else ''}\n"
     for c in range(32)
 ])
 # Pulses formatted per step, so that a full-scale dump stays at a few MB.
@@ -243,11 +276,15 @@ _DUMP_CHUNK = 1 << 16
 
 def write_transcript_csv(run: QkdRun, fp) -> None:
     """Per-pulse debug CSV: pulse, alice_bit, alice_basis, bob_basis,
-    detected, bob_bit."""
-    code = (run.alice_bits << 4 | run.alice_bases << 3 | run.bob_bases << 2
-            | run.bob_detected.astype(np.uint8) << 1 | run.bob_bits)
+    detected, bob_bit.  Alice's columns are regenerated pulse by pulse
+    from her key."""
     fp.write("pulse,alice_bit,alice_basis,bob_basis,detected,bob_bit\n")
-    for start in range(0, code.size, _DUMP_CHUNK):
-        tails = _ROW_TAILS[code[start : start + _DUMP_CHUNK]]
-        pulses = np.arange(start, start + tails.size).astype(str)
-        fp.write("".join(np.strings.add(pulses, tails).tolist()))
+    n, det = run.params.n_pulses, run.detected
+    for start in range(0, n, _DUMP_CHUNK):
+        pulses = np.arange(start, min(start + _DUMP_CHUNK, n))
+        bits, bases = run.alice_at(pulses)
+        code = bits << 4 | bases << 3
+        lo, hi = np.searchsorted(det, [start, start + pulses.size])
+        code[det[lo:hi] - start] |= 2 | run.bob_bases[lo:hi] << 2 | run.bob_bits[lo:hi]
+        tails = _ROW_TAILS[code]
+        fp.write("".join(np.strings.add(pulses.astype(str), tails).tolist()))

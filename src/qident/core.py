@@ -26,6 +26,7 @@ __all__ = [
     "make_rng",
     "spawn_streams",
     "random_bitstring",
+    "counter_hash",
     "strict_ceil",
     "pack_uints",
     "unpack_uints",
@@ -274,6 +275,23 @@ def random_bitstring(n: int, rng: np.random.Generator) -> BitString:
     if n < 0:
         raise ValueError("length must be non-negative")
     return BitString(rng.integers(0, 2, size=n, dtype=np.uint8))
+
+
+def counter_hash(key: int, counters) -> np.ndarray:
+    """The splitmix64 finalizer (Steele, Lea & Flood 2014) of
+    key + gamma * counter, in uint64 arithmetic mod 2**64: one
+    independent-looking 64-bit word per counter under a 64-bit key, so a
+    keyed random sequence can be read at any indices without drawing
+    the rest of it."""
+    z = np.array(counters, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(key)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 # -- fixed-width integer packing ------------------------------------

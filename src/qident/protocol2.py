@@ -73,6 +73,7 @@ from .core import (
     BitString,
     QidentError,
     SecretPool,
+    counter_hash,
     make_rng,
     pack_uints,
     random_bitstring,
@@ -259,8 +260,13 @@ def _parse_verdict(payload: BitString) -> tuple[bool, int]:
     return bool(payload[0]), int(unpack_uints(payload[16:32], 16)[0])
 
 
-def _build_announce(detected: np.ndarray, bases: np.ndarray) -> BitString:
-    return BitString(np.concatenate([detected, bases]))
+def _build_announce(n_pulses: int, detected: np.ndarray, bases: np.ndarray) -> BitString:
+    """Detection map over n_pulses pulses with 1 at each sorted detected
+    position, then the basis at each detection."""
+    bits = np.zeros(n_pulses + detected.size, dtype=np.uint8)
+    bits[detected] = 1
+    bits[n_pulses:] = bases
+    return BitString(bits)
 
 
 def _parse_announce(payload: BitString, n_pulses: int) -> tuple[np.ndarray, np.ndarray]:
@@ -343,15 +349,11 @@ def _cascade(diff: np.ndarray, block: int, rng) -> int:
 
 def _in_subset(key: int, round: int, positions: np.ndarray) -> np.ndarray:
     """Whether each position is in phase-2 round's random subset: the top
-    bit of the splitmix64 finalizer (Steele, Lea & Flood 2014) of
-    key + gamma * (round * 2**40 + position), in uint64 arithmetic mod
-    2**64.  Positions below 2**40 give each (round, position) its own
-    counter, so no subset need ever be drawn in full."""
+    bit of counter_hash(key, round * 2**40 + position).  Positions below
+    2**40 give each (round, position) its own counter, so no subset need
+    ever be drawn in full."""
     i = np.uint64(round << 40) | np.asarray(positions, np.uint64)
-    z = np.uint64(key) + i * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31))) >> np.uint64(63) == 1
+    return counter_hash(key, i) >> np.uint64(63) == 1
 
 
 def _verify(diff: np.ndarray, key: int) -> int:
@@ -628,22 +630,24 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     at the first stage that fails and returns after a refuel."""
     n, s = params.n_pulses, params.s
     w = position_bits(n)
-    det_idx = np.flatnonzero(run.bob_detected)
+    det = run.detected
 
-    # B -> A: sample positions; A -> B: her bases and bits at them
-    sample = select_subset_positions(det_idx, 2 * s, rng)
+    # B -> A: sample positions; A -> B: her bases and bits at them.  B
+    # keeps his sample as indices into his detections.
+    sample = select_subset_positions(det, 2 * s, rng)
+    pick = np.searchsorted(det, sample)
     sample_at_alice = _exchange(
         res, tamper, MsgKind.POSITIONS, "positions", pack_uints(sample, w), True,
         lambda p: _parse_positions(p, w, s, n))
+    bits, bases = run.alice_at(sample_at_alice)
     a_bases, a_bits = _exchange(
-        res, tamper, MsgKind.BASES_AND_BITS, "bases-bits",
-        _build_bases_bits(run.alice_bases[sample_at_alice], run.alice_bits[sample_at_alice]),
+        res, tamper, MsgKind.BASES_AND_BITS, "bases-bits", _build_bases_bits(bases, bits),
         False, lambda p: _parse_bases_bits(p, s))
 
     # B compares at basis coincidences and renders the verdict
-    matched = run.bob_bases[sample] == a_bases
+    matched = run.bob_bases[pick] == a_bases
     s_real = res.s_real = int(matched.sum())
-    k = res.k = int((run.bob_bits[sample][matched] != a_bits[matched]).sum())
+    k = res.k = int((run.bob_bits[pick][matched] != a_bits[matched]).sum())
     if s_real > 0:
         res.eps_est = k / s_real
     accept = res.verdict_accept = _accepts(k, s_real, params)
@@ -658,14 +662,19 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
 
     # B -> A: detection map and bases (plumbing, unauthenticated)
     ann_pos, ann_bases = _send(
-        res, tamper,
-        WireMessage(MsgKind.BASIS_ANNOUNCE,
-                    _build_announce(run.bob_detected, run.bob_bases[det_idx])),
+        res, tamper, WireMessage(MsgKind.BASIS_ANNOUNCE, _build_announce(n, det, run.bob_bases)),
         "announce", lambda p: _parse_announce(p, n))
 
-    # A re-applies the acceptance test with her own view of s_real
-    in_sample = np.isin(ann_pos, sample_at_alice, assume_unique=True)
-    alice_matched = run.alice_bases[ann_pos] == ann_bases
+    # A re-applies the acceptance test with her own view of s_real; both
+    # position lists are sorted, so her sample's announced entries are
+    # found by search (past the last detection, a suffix of it is not)
+    hit = np.searchsorted(ann_pos, sample_at_alice)
+    hit = hit[hit < ann_pos.size]
+    hit = hit[ann_pos[hit] == sample_at_alice[: hit.size]]
+    in_sample = np.zeros(ann_pos.size, dtype=bool)
+    in_sample[hit] = True
+    alice_bits, alice_bases = run.alice_at(ann_pos)
+    alice_matched = alice_bases == ann_bases
     res.alice_recheck = _accepts(k_at_alice, int((in_sample & alice_matched).sum()), params)
     if not res.alice_recheck:
         raise _Stop("alice-recheck")
@@ -673,12 +682,13 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     # A -> B: coincidence mask over the announced detections
     mask_at_bob = _send(
         res, tamper, WireMessage(MsgKind.COINCIDENCE, BitString(alice_matched)),
-        "coincidence", lambda p: _parse_fixed(p, det_idx.size)).bits.astype(bool)
+        "coincidence", lambda p: _parse_fixed(p, det.size)).bits.astype(bool)
 
     # the refuelling key: basis-matched positions outside the disclosed sample
-    alice_key = run.alice_bits[ann_pos[alice_matched & ~in_sample]]
-    unsampled = ~np.isin(det_idx, sample, assume_unique=True)
-    bob_key = run.bob_bits[det_idx[mask_at_bob & unsampled]]
+    alice_key = alice_bits[alice_matched & ~in_sample]
+    unsampled = np.ones(det.size, dtype=bool)
+    unsampled[pick] = False
+    bob_key = run.bob_bits[mask_at_bob & unsampled]
     res.n_key = int(alice_key.size)
     if alice_key.size != bob_key.size or alice_key.size == 0:
         raise _Stop("no-key-bits")

@@ -2,12 +2,14 @@
 
 Statistical assertions use four-sigma margins around binomial
 expectations at fixed seeds; structural assertions (passive adversaries
-leaving the honest view untouched, draw-layout determinism) are exact.
+leaving the honest view untouched, draw-layout determinism, Alice's
+values read at any set of pulses) are exact.
 """
 
 import csv
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -81,30 +83,95 @@ class TestHonestRun:
         assert within_4_sigma(run.n_detected, N, p)
         assert within_4_sigma(run.n_sifted, N, 0.5 * p)
 
+    @pytest.mark.parametrize("n_pulses", [N, 6_250_000])
+    def test_positions_strictly_increasing_in_range(self, n_pulses):
+        run = run_qkd(replace(PARAMS, n_pulses=n_pulses), seed=2)
+        det = run.detected
+        assert within_4_sigma(det.size, n_pulses, detection_probability(PARAMS))
+        assert det.dtype == np.int64
+        assert det[0] >= 0 and det[-1] < n_pulses
+        assert np.all(np.diff(det) > 0)
+        for arr in (run.alice_bits, run.alice_bases, run.bob_bases, run.bob_bits):
+            assert arr.shape == det.shape and arr.dtype == np.uint8
+
+    def test_detections_are_independent_bernoulli(self):
+        # every pulse is detected with probability p whatever its index:
+        # the count in each tenth of the run and the gap between
+        # consecutive detections follow the Bernoulli(p) process
+        run = run_qkd(PARAMS, seed=3)
+        p = detection_probability(PARAMS)
+        counts = np.bincount(run.detected * 10 // N, minlength=10)
+        assert all(within_4_sigma(c, N // 10, p) for c in counts)
+        gaps = np.diff(run.detected)
+        assert within_4_sigma(int((gaps == 1).sum()), gaps.size, p)
+
+    @pytest.mark.parametrize("mu, eta", [(1e-6, 1e-3), (0.8, 1e-300)])
+    def test_tiny_detection_probability_gives_empty_arrays(self, mu, eta):
+        # n * p is at most 1e-7: almost surely no detection at all.  At
+        # p = 8e-301 a geometric gap overflows int64 unless it is capped.
+        run = run_qkd(replace(PARAMS, n_pulses=100, mu=mu, eta=eta), seed=4)
+        assert run.n_detected == run.n_sifted == run.error_count == 0
+        assert run.error_rate == 0.0
+        for arr in (run.detected, run.alice_bits, run.bob_bases, run.bob_bits):
+            assert arr.size == 0
+
     def test_intrinsic_error_rate(self):
         run = run_qkd(PARAMS, seed=2)
         assert within_4_sigma(run.error_count, run.n_sifted, PARAMS.eps)
 
     def test_mismatched_basis_detections_are_fair_coins(self):
         run = run_qkd(PARAMS, seed=3)
-        mask = run.bob_detected & (run.alice_bases != run.bob_bases)
+        mask = run.alice_bases != run.bob_bases
         agree = int((run.alice_bits[mask] == run.bob_bits[mask]).sum())
         assert within_4_sigma(agree, int(mask.sum()), 0.5)
 
+    def test_alice_values_are_fair_and_independent(self):
+        run = run_qkd(PARAMS, seed=5)
+        bits, bases = run.alice_at(np.arange(N))
+        for col in (bits, bases, bits ^ bases):
+            assert within_4_sigma(int(col.sum()), N, 0.5)
+
+    def test_alice_value_at_a_pulse_ignores_the_other_pulses_read(self):
+        run = run_qkd(PARAMS, seed=6)
+        everything = run.alice_at(np.arange(N))
+        rng = np.random.default_rng(0)
+        for pulses in (np.array([N - 1]), np.array([0, 17, 17, N - 1]),
+                       rng.choice(N, 999, replace=False)):
+            for got, full in zip(run.alice_at(pulses), everything):
+                assert np.array_equal(got, full[pulses])
+        # at the detections, the run holds the same values
+        assert np.array_equal(run.alice_bits, everything[0][run.detected])
+        assert np.array_equal(run.alice_bases, everything[1][run.detected])
+
     def test_deterministic_by_seed(self):
         a, b = run_qkd(PARAMS, seed=9), run_qkd(PARAMS, seed=9)
+        assert np.array_equal(a.detected, b.detected)
         assert np.array_equal(a.bob_bits, b.bob_bits)
-        assert np.array_equal(a.bob_detected, b.bob_detected)
+        assert a.alice_key == b.alice_key
         c = run_qkd(PARAMS, seed=10)
-        assert not np.array_equal(a.alice_bits, c.alice_bits)
+        assert a.alice_key != c.alice_key
+        assert not np.array_equal(a.detected, c.detected)
 
     def test_sifted_views_align(self):
         run = run_qkd(PARAMS, seed=4)
-        matched = run.bob_detected & (run.alice_bases == run.bob_bases)
-        assert np.array_equal(run.sifted_idx, np.flatnonzero(matched))
+        matched = run.alice_bases == run.bob_bases
+        assert np.array_equal(run.sifted, np.flatnonzero(matched))
         assert run.n_sifted == int(matched.sum())
         errors = run.alice_bits[matched] != run.bob_bits[matched]
         assert run.error_count == int(errors.sum())
+
+    def test_run_draws_nothing_of_pulse_length(self):
+        # 1e8 pulses: one float64 per pulse would be 800 MB; the run's
+        # peak is the ~9.2e6 detections' arrays alone
+        ref = replace(BudgetParams.reference(), n_pulses=100_000_000)
+        tracemalloc.start()
+        try:
+            run = run_qkd(ref, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert within_4_sigma(run.n_detected, ref.n_pulses, detection_probability(ref))
+        assert peak < 400e6
 
 
 class TestInterceptResend:
@@ -123,6 +190,8 @@ class TestInterceptResend:
             seed=14,
             eve=EveParams(strategy=EveStrategy.INTERCEPT_RESEND, fraction=0.0),
         )
+        assert np.array_equal(clean.detected, idle.detected)
+        assert np.array_equal(clean.bob_bases, idle.bob_bases)
         assert np.array_equal(clean.bob_bits, idle.bob_bits)
 
     def test_no_information_figure(self):
@@ -140,9 +209,10 @@ class TestPassiveAdversaries:
             EveParams(strategy=EveStrategy.PER_BIT_GUESS, guess_prob=0.6),
         ):
             tapped = run_qkd(PARAMS, seed=5, eve=eve)
+            assert clean.alice_key == tapped.alice_key
             assert np.array_equal(clean.alice_bits, tapped.alice_bits)
+            assert np.array_equal(clean.detected, tapped.detected)
             assert np.array_equal(clean.bob_bases, tapped.bob_bases)
-            assert np.array_equal(clean.bob_detected, tapped.bob_detected)
             assert np.array_equal(clean.bob_bits, tapped.bob_bits)
 
     def test_none_knows_nothing(self):
@@ -176,18 +246,36 @@ class TestPassiveAdversaries:
 
 class TestTranscript:
     def test_rows_cover_every_pulse(self):
-        run = run_qkd(replace(PARAMS, n_pulses=500), seed=18)
+        n = 500
+        run = run_qkd(replace(PARAMS, n_pulses=n), seed=18)
         buf = io.StringIO()
         write_transcript_csv(run, buf)
         rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
-        assert [int(r[0]) for r in rows] == list(range(500))
-        cols = np.array([r[1:5] for r in rows], dtype=np.uint8).T
-        for col, want in zip(cols, (run.alice_bits, run.alice_bases,
-                                    run.bob_bases, run.bob_detected)):
-            assert np.array_equal(col, want)
-        assert [r[5] for r in rows] == [
-            str(b) if d else "" for b, d in zip(run.bob_bits, run.bob_detected)]
+        assert [int(r[0]) for r in rows] == list(range(n))
+        bits, bases = run.alice_at(np.arange(n))
+        assert [r[1] for r in rows] == [str(b) for b in bits]
+        assert [r[2] for r in rows] == [str(b) for b in bases]
+        detected = np.zeros(n, dtype=np.uint8)
+        detected[run.detected] = 1
+        assert [r[4] for r in rows] == [str(d) for d in detected]
+        # Bob's basis and bit are blank where he detected nothing
+        bob_basis, bob_bit = [""] * n, [""] * n
+        for i, b, x in zip(run.detected, run.bob_bases, run.bob_bits):
+            bob_basis[i], bob_bit[i] = str(b), str(x)
+        assert [r[3] for r in rows] == bob_basis
+        assert [r[5] for r in rows] == bob_bit
         assert {r[5] for r in rows} == {"", "0", "1"}
+
+    def test_rows_span_dump_chunks(self):
+        # chunk boundaries fall at multiples of 65,536 pulses
+        n = 140_000
+        run = run_qkd(replace(PARAMS, n_pulses=n), seed=20)
+        buf = io.StringIO()
+        write_transcript_csv(run, buf)
+        rows = buf.getvalue().splitlines()[1:]
+        assert len(rows) == n
+        det = [int(r.split(",")[0]) for r in rows if r.split(",")[4] == "1"]
+        assert det == run.detected.tolist()
 
     def test_csv_shape(self):
         run = run_qkd(replace(PARAMS, n_pulses=50), seed=19)

@@ -109,8 +109,8 @@ class TestSimulateQkd:
         assert len(rows) == 301
 
     @pytest.mark.parametrize("n_pulses,seed,digest", [
-        (300, 0, "056eb0aa90cb524ae0041e3b2c855f6942ca77554fad8cb53c878100ee5702eb"),
-        (100_000, 3, "6af301068ea1975405512652672c338e60f3dad1bf2fa6542904e8c4254ee84e"),
+        (300, 0, "6df7109717af4eb0d0c3f0d1aae48f0f4c9de047d203228bdcbe2dfe0b8fe944"),
+        (100_000, 3, "dd9bddbb7343ee1d74ed518c215148f813db28eb85864691e7ee54487f6de082"),
     ])
     def test_dump_pinned(self, capsys, tmp_path, n_pulses, seed, digest):
         cfg = write_config(tmp_path, f"n_pulses = {n_pulses}\n")
@@ -347,9 +347,9 @@ class TestAnalysisCommands:
 # command lines of the acceptance suite; desk.cfg sets n_pulses = 100000.
 CRITERION_11_CSV = [
     (("simulate-qkd", "--config", "desk.cfg", "--seed", "3", "--trials", "2"),
-     "817012099e8cd2e90b930257cd862737489e3bd598439855b7a30db51d9009ef"),
+     "ac892044eac8392676376a07e1021ae19618e9fbf1b1760146017cd94834f4e1"),
     (("protocol2", "--config", "desk.cfg", "--seed", "5"),
-     "488faf3f5cc8e636c86ea71e1f17b3932791c804fce0d03ca86d2e57de4773a8"),
+     "d5877e35031bacd898ad5c55fc0c0813aba3647a13a36c0c6305ca7306074484"),
     (("deception", "--seed", "6"),
      "53837e38d138f2086b675838261f33360029d65bc09a3d315503deb1c277f38e"),
     (("epslim", "--seed", "7"),
