@@ -44,7 +44,7 @@ import operator
 
 import numpy as np
 
-from .core import BitString, PoolExhausted, QidentError, SecretPool
+from .core import BitString, PoolExhausted, QidentError, SecretPool, pack_uints, unpack_uints
 
 __all__ = [
     "M61",
@@ -113,22 +113,6 @@ def max_message_bits(n_words: int) -> int:
     return WORD_BITS * (n_words - 1) - 1
 
 
-def _group_values(bits: np.ndarray) -> np.ndarray:
-    """Big-endian values of the w-bit groups of a 0/1 array, the last
-    group zero-padded, as uint64."""
-    flat = np.zeros(-(-bits.size // WORD_BITS) * WORD_BITS, np.uint8)
-    flat[: bits.size] = bits
-    grid = np.zeros((flat.size // WORD_BITS, 64), np.uint8)
-    grid[:, 64 - WORD_BITS :] = flat.reshape(-1, WORD_BITS)
-    return np.packbits(grid, axis=1).view(">u8").ravel().astype(np.uint64)
-
-
-def _group_bits(values) -> np.ndarray:
-    """Inverse of _group_values: the w big-endian bits of each value."""
-    octets = np.array(values, dtype=">u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1)[:, 64 - WORD_BITS :].ravel()
-
-
 def encode_message(bits: BitString, n_words: int) -> tuple[int, ...]:
     """Encode a message as exactly n_words field elements; see module
     docstring for the bit-exact layout."""
@@ -137,7 +121,8 @@ def encode_message(bits: BitString, n_words: int) -> tuple[int, ...]:
             f"{len(bits)} bits exceed the {max_message_bits(n_words)}-bit cap"
         )
     out = [1]
-    for v in _group_values(bits.bits).tolist():
+    padded = np.pad(bits.bits, (0, -len(bits) % WORD_BITS))
+    for v in unpack_uints(padded, WORD_BITS).tolist():
         out += (_ESC, v - _ESC) if v >= _ESC else (v,)
     if len(out) > n_words:
         raise MessageTooLong(
@@ -181,7 +166,7 @@ def decode_message(words, msg_len: int) -> BitString:
         values.append(v)
     if any(words[i:]):
         raise DecodeError("nonzero padding words")
-    bits = _group_bits(values)
+    bits = pack_uints(values, WORD_BITS).bits
     if bits[msg_len:].any():
         raise DecodeError("nonzero padding bits")
     return BitString(bits[:msg_len])
@@ -198,7 +183,7 @@ def _draw_words(supply: np.ndarray, n_words: int) -> tuple[tuple[int, ...], int]
             raise PoolExhausted(
                 f"{supply.size} bits exhausted before {n_words} words drawn"
             )
-        values = _group_values(supply[used : used + need])
+        values = unpack_uints(supply[used : used + need], WORD_BITS)
         key += values[values < M61].tolist()
         used += need
     return tuple(key), used

@@ -66,6 +66,10 @@ def _pos_int(lo=1):
     return lambda v: isinstance(v, int) and v >= lo
 
 
+def _one_of(names) -> tuple:
+    return (str, lambda v: v in names, "one of " + ", ".join(names))
+
+
 _SPECS: dict[str, tuple] = {
     # key: (type, validator, range description)
     "n_pulses": (int, _pos_int(2), "integer >= 2"),
@@ -78,12 +82,9 @@ _SPECS: dict[str, tuple] = {
     "s": (int, _pos_int(1), "integer >= 1"),
     "n_is": (int, _pos_int(1), "integer >= 1"),
     "p_bar": (float, lambda v: 0.5 <= v <= 1.0, "in [1/2, 1]"),
-    "strategy": (str, lambda v: v in ("none", "intercept-resend", "beamsplit",
-                                      "per-bit-guess"),
-                 "one of none, intercept-resend, beamsplit, per-bit-guess"),
+    "strategy": _one_of([e.value for e in EveStrategy]),
     "fraction": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "impostor": (str, lambda v: v in ("none", "initiator", "responder"),
-                 "one of none, initiator, responder"),
+    "impostor": _one_of(["none", *protocol1.IMPOSTORS]),
 }
 
 

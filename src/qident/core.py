@@ -306,17 +306,17 @@ def pack_uints(values, width: int) -> BitString:
         raise ValueError("values must be one-dimensional")
     if vals.size and (int(vals.min(initial=0)) < 0 or int(vals.max(initial=0)) >> width):
         raise ValueError(f"values do not fit in {width} bits")
-    shifts = np.arange(width - 1, -1, -1, dtype=np.int64)
-    bits = ((vals[:, None] >> shifts) & 1).astype(np.uint8)
-    return BitString(bits.ravel())
+    rows = np.unpackbits(vals.astype(">u8").view(np.uint8).reshape(-1, 8), axis=1)
+    return BitString(rows[:, 64 - width :].ravel())
 
 
-def unpack_uints(bits: BitString, width: int) -> np.ndarray:
-    """Inverse of pack_uints; the bit length must be a multiple of width."""
+def unpack_uints(bits: np.ndarray, width: int) -> np.ndarray:
+    """Inverse of pack_uints on a 0/1 array; its length must be a
+    multiple of width."""
     if not 1 <= width <= 63:
         raise ValueError("width must be in 1..63")
-    if len(bits) % width:
-        raise ValueError(f"bit length {len(bits)} is not a multiple of {width}")
-    arr = bits.bits.reshape(-1, width).astype(np.int64)
-    weights = (np.int64(1) << np.arange(width - 1, -1, -1, dtype=np.int64))
-    return arr @ weights
+    if bits.size % width:
+        raise ValueError(f"bit length {bits.size} is not a multiple of {width}")
+    rows = np.zeros((bits.size // width, 64), np.uint8)
+    rows[:, 64 - width :] = bits.reshape(-1, width)
+    return np.packbits(rows, axis=1).view(">u8").ravel().astype(np.int64)

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .budget import tolerance
 from .core import BitString, SecretPool, make_rng, random_bitstring, sync_pools
@@ -37,6 +37,7 @@ __all__ = [
     "run_trials",
     "run_sessions",
     "TRIAL_CHUNK",
+    "IMPOSTORS",
     "eve_impersonation_frequency",
     "expected_success_probability",
     "impostor_pass_probability",
@@ -100,10 +101,13 @@ def _transmit(
     return BitString(bits.bits ^ noise)
 
 
+IMPOSTORS = ("initiator", "responder")  # the sides an impostor may take
+
+
 def _honest_sides(impostor: str | None) -> dict[str, bool]:
     """Which sides check what they receive; an impostor checks nothing."""
-    if impostor not in (None, "initiator", "responder"):
-        raise ValueError("impostor must be None, 'initiator' or 'responder'")
+    if impostor not in (None, *IMPOSTORS):
+        raise ValueError(f"impostor must be None or one of {', '.join(IMPOSTORS)}")
     return {"alice": impostor != "initiator", "bob": impostor != "responder"}
 
 
@@ -257,11 +261,11 @@ def eve_impersonation_frequency(
 
 def expected_success_probability(params: Protocol1Params) -> float:
     """Honest-case success rate: all three passes survive the noise."""
-    per_pass = float(stats.binom.cdf(params.k, params.n_is, params.eps))
+    per_pass = float(special.bdtr(params.k, params.n_is, params.eps))
     return per_pass**3
 
 
 def impostor_pass_probability(params: Protocol1Params) -> float:
     """Chance a fabricated sequence slips under the tolerance of one
     check: the binomial half-chance tail."""
-    return float(stats.binom.cdf(params.k, params.n_is, 0.5))
+    return float(special.bdtr(params.k, params.n_is, 0.5))

@@ -209,40 +209,26 @@ def default_pool_bits(n_pulses: int, s: int) -> int:
 
 
 def select_subset_positions(
-    detected_positions: np.ndarray, two_s: int, rng: np.random.Generator
+    n_detected: int, two_s: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Uniform sorted sample of two_s detected positions, drawn blind to
+    """Uniform sorted sample of two_s detection indices, drawn blind to
     basis matching.  Raises InsufficientDetections when the run produced
-    fewer detections than that."""
-    detected_positions = np.asarray(detected_positions, dtype=np.int64)
-    if detected_positions.size < two_s:
+    fewer than two_s of its n_detected detections."""
+    if n_detected < two_s:
         raise InsufficientDetections(
-            f"{detected_positions.size} detections cannot seed a "
-            f"{two_s}-position sample"
+            f"{n_detected} detections cannot seed a {two_s}-position sample"
         )
-    return np.sort(rng.choice(detected_positions, size=two_s, replace=False))
+    return np.sort(rng.choice(n_detected, size=two_s, replace=False))
 
 
 # -- payload builders / parsers ----------------------------------------
 
 
-def _parse_positions(payload: BitString, w: int, s: int, n_pulses: int) -> np.ndarray:
-    if len(payload) != 2 * s * w:
-        raise WireFormatError("sample message has wrong length")
-    pos = unpack_uints(payload, w)
+def _parse_positions(payload: BitString, w: int, n_pulses: int) -> np.ndarray:
+    pos = unpack_uints(payload.bits, w)
     if pos.size and (pos.max() >= n_pulses or np.any(np.diff(pos) <= 0)):
         raise WireFormatError("sample positions not strictly increasing in range")
     return pos
-
-
-def _build_bases_bits(bases: np.ndarray, bits: np.ndarray) -> BitString:
-    return BitString(np.column_stack([bases, bits]).ravel())
-
-
-def _parse_bases_bits(payload: BitString, s: int) -> tuple[np.ndarray, np.ndarray]:
-    if len(payload) != 4 * s:
-        raise WireFormatError("basis-and-bit message has wrong length")
-    return payload.bits[0::2], payload.bits[1::2]
 
 
 def _build_verdict(accept: bool, k: int) -> BitString:
@@ -253,11 +239,9 @@ def _build_verdict(accept: bool, k: int) -> BitString:
 
 
 def _parse_verdict(payload: BitString) -> tuple[bool, int]:
-    if len(payload) != 32:
-        raise WireFormatError("verdict message has wrong length")
-    if payload[1:16].count_ones():
+    if payload.bits[1:16].any():
         raise WireFormatError("verdict reserved bits must be zero")
-    return bool(payload[0]), int(unpack_uints(payload[16:32], 16)[0])
+    return bool(payload[0]), int(unpack_uints(payload.bits[16:], 16)[0])
 
 
 def _build_announce(n_pulses: int, detected: np.ndarray, bases: np.ndarray) -> BitString:
@@ -277,12 +261,6 @@ def _parse_announce(payload: BitString, n_pulses: int) -> tuple[np.ndarray, np.n
     if bits.size != n_pulses + pos.size:
         raise WireFormatError("announcement length disagrees with its detection count")
     return pos, bits[n_pulses:]
-
-
-def _parse_fixed(payload: BitString, n_bits: int) -> BitString:
-    if len(payload) != n_bits:
-        raise WireFormatError(f"expected {n_bits} payload bits, got {len(payload)}")
-    return payload
 
 
 # -- interactive error correction --------------------------------------
@@ -532,12 +510,13 @@ class _Stop(Exception):
     """Ends a session early at the stage or for the reason it names."""
 
 
-def _send(res, tamper, msg: WireMessage, stage: str, parse, key=None):
+def _send(res, tamper, msg: WireMessage, stage: str, n_bits, parse=None, key=None):
     """Serialize msg, let the tamper hook rewrite it in transit, reparse
-    it at the receiver and return parse(payload).  With a key, the tag
-    must verify under it first, or the session stops at <stage>-auth.  A
-    frame that does not parse, or arrives as another kind than was
-    sent, stops it at <stage>-structure."""
+    it at the receiver and return parse(payload), or the payload.  With a
+    key, the tag must verify under it first, or the session stops at
+    <stage>-auth.  A frame that does not parse, arrives as another kind
+    than was sent or carries other than n_bits payload bits (when given)
+    stops it at <stage>-structure."""
     kind = msg.kind
     if tamper is not None:
         msg = tamper(msg) or msg
@@ -548,22 +527,25 @@ def _send(res, tamper, msg: WireMessage, stage: str, parse, key=None):
             raise WireFormatError(f"{kind.name} arrived as {msg.kind.name}")
         if key is not None and not auth.verify(msg.payload, msg.tag, key):
             raise _Stop(f"{stage}-auth")
-        return parse(msg.payload)
+        if n_bits is not None and len(msg.payload) != n_bits:
+            raise WireFormatError(f"expected {n_bits} payload bits, got {len(msg.payload)}")
+        return msg.payload if parse is None else parse(msg.payload)
     except WireFormatError:
         raise _Stop(f"{stage}-structure") from None
 
 
-def _exchange(res, tamper, kind: MsgKind, stage: str, payload: BitString,
+def _exchange(res, tamper, lengths, kind: MsgKind, stage: str, payload: BitString,
               from_bob: bool, parse):
-    """One authenticated message: both parties draw its key from their
-    pools in message order, the sender tags with its key and the
-    receiver verifies with its own."""
-    n_words = auth.words_needed(len(payload))
+    """One authenticated message of lengths[kind] bits, lengths being the
+    message_bit_lengths table: both parties size its key from that and draw
+    it in message order; the sender tags with its key, the receiver verifies."""
+    n_bits = lengths[kind]
+    n_words = auth.words_needed(n_bits)
     key_a, _ = auth.key_from_pool(res.alice_pool, n_words)
     key_b, _ = auth.key_from_pool(res.bob_pool, n_words)
     send_key, receive_key = (key_b, key_a) if from_bob else (key_a, key_b)
     msg = WireMessage(kind, payload, auth.authenticate(payload, send_key))
-    return _send(res, tamper, msg, stage, parse, receive_key)
+    return _send(res, tamper, msg, stage, n_bits, parse, receive_key)
 
 
 def _accepts(k: int, s_real: int, params: BudgetParams) -> bool:
@@ -630,19 +612,20 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     at the first stage that fails and returns after a refuel."""
     n, s = params.n_pulses, params.s
     w = position_bits(n)
+    lengths = message_bit_lengths(n, s)
     det = run.detected
 
     # B -> A: sample positions; A -> B: her bases and bits at them.  B
     # keeps his sample as indices into his detections.
-    sample = select_subset_positions(det, 2 * s, rng)
-    pick = np.searchsorted(det, sample)
+    pick = select_subset_positions(det.size, 2 * s, rng)
     sample_at_alice = _exchange(
-        res, tamper, MsgKind.POSITIONS, "positions", pack_uints(sample, w), True,
-        lambda p: _parse_positions(p, w, s, n))
+        res, tamper, lengths, MsgKind.POSITIONS, "positions", pack_uints(det[pick], w),
+        True, lambda p: _parse_positions(p, w, n))
     bits, bases = run.alice_at(sample_at_alice)
     a_bases, a_bits = _exchange(
-        res, tamper, MsgKind.BASES_AND_BITS, "bases-bits", _build_bases_bits(bases, bits),
-        False, lambda p: _parse_bases_bits(p, s))
+        res, tamper, lengths, MsgKind.BASES_AND_BITS, "bases-bits",
+        BitString(np.column_stack([bases, bits]).ravel()), False,
+        lambda p: (p.bits[0::2], p.bits[1::2]))
 
     # B compares at basis coincidences and renders the verdict
     matched = run.bob_bases[pick] == a_bases
@@ -652,8 +635,8 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
         res.eps_est = k / s_real
     accept = res.verdict_accept = _accepts(k, s_real, params)
     accept_at_alice, k_at_alice = _exchange(
-        res, tamper, MsgKind.FINAL_VERDICT, "verdict", _build_verdict(accept, k), True,
-        _parse_verdict)
+        res, tamper, lengths, MsgKind.FINAL_VERDICT, "verdict", _build_verdict(accept, k),
+        True, _parse_verdict)
 
     # every authentication key verified: the peers are identified
     res.identified = True
@@ -663,7 +646,7 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     # B -> A: detection map and bases (plumbing, unauthenticated)
     ann_pos, ann_bases = _send(
         res, tamper, WireMessage(MsgKind.BASIS_ANNOUNCE, _build_announce(n, det, run.bob_bases)),
-        "announce", lambda p: _parse_announce(p, n))
+        "announce", None, lambda p: _parse_announce(p, n))
 
     # A re-applies the acceptance test with her own view of s_real; both
     # position lists are sorted, so her sample's announced entries are
@@ -679,10 +662,10 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     if not res.alice_recheck:
         raise _Stop("alice-recheck")
 
-    # A -> B: coincidence mask over the announced detections
+    # A -> B: coincidence mask, one bit per detection B made
     mask_at_bob = _send(
         res, tamper, WireMessage(MsgKind.COINCIDENCE, BitString(alice_matched)),
-        "coincidence", lambda p: _parse_fixed(p, det.size)).bits.astype(bool)
+        "coincidence", det.size).bits.astype(bool)
 
     # the refuelling key: basis-matched positions outside the disclosed sample
     alice_key = alice_bits[alice_matched & ~in_sample]
@@ -706,7 +689,7 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     # A -> B: compression seed; each party hashes with its own copy
     seed = random_bitstring(PA_SEED_BITS, rng)
     seed_at_bob = _send(res, tamper, WireMessage(MsgKind.PA_SEED, seed), "pa-seed",
-                        lambda p: _parse_fixed(p, PA_SEED_BITS))
+                        PA_SEED_BITS)
     alice_new = privacy_amplify(BitString(alice_key), out_len, seed)
     bob_new = privacy_amplify(BitString(bob_corrected), out_len, seed_at_bob)
     if alice_new != bob_new:

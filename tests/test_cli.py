@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from qident import auth, budget, cli, protocol1, protocol2
+from qident.channel import EveStrategy
 from qident.cli import ParseError, RangeError, main, parse_config
 from qident.core import BitString, SecretPool, make_rng, random_bitstring
 
@@ -60,6 +61,16 @@ class TestConfigParsing:
         code, out, err = run_cli(capsys, "budget", "--config", cfg)
         assert code == 2 and out == ""
         assert f"line 1: unknown configuration key '{line.split()[0]}'" in err
+
+    @pytest.mark.parametrize("key, names", [
+        ("strategy", [e.value for e in EveStrategy]),
+        ("impostor", ["none", *protocol1.IMPOSTORS]),
+    ])
+    def test_choices_are_the_names_the_library_takes(self, key, names):
+        for name in names:
+            assert parse_config(f"{key} = {name}\n") == {key: name}
+        with pytest.raises(RangeError, match=f"must be one of {', '.join(names)}$"):
+            parse_config(f"{key} = middle\n")
 
     def test_readme_table_lists_every_key(self):
         # README's configuration-key table: one row per key of _SPECS, in

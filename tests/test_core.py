@@ -171,14 +171,14 @@ class TestRandomness:
 
 
 class TestPacking:
-    @given(
-        st.lists(st.integers(0, 2**17 - 1), min_size=0, max_size=50),
-        st.integers(17, 20),
-    )
-    def test_roundtrip(self, values, width):
+    @given(st.integers(1, 63).flatmap(lambda width: st.tuples(
+        st.just(width), st.lists(st.integers(0, 2**width - 1), max_size=50))))
+    def test_roundtrip(self, width_values):
+        # consecutive big-endian fields, each exactly width bits
+        width, values = width_values
         packed = pack_uints(values, width)
-        assert len(packed) == width * len(values)
-        assert unpack_uints(packed, width).tolist() == values
+        assert packed.to01() == "".join(format(v, f"0{width}b") for v in values)
+        assert unpack_uints(packed.bits, width).tolist() == values
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
@@ -186,4 +186,4 @@ class TestPacking:
 
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
-            unpack_uints(BitString.from01("101"), 2)
+            unpack_uints(BitString.from01("101").bits, 2)

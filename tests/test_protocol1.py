@@ -141,6 +141,18 @@ class TestHonestRate:
         )
         assert within_4_sigma(counts[IdentOutcome.SUCCESS], n_trials, p)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.001, 0.01, 0.03, 0.05, 0.1, 0.2, 0.3, 0.45])
+    def test_closed_forms_match_the_binomial_cdf(self, eps):
+        # both use scipy.special.bdtr, not scipy.stats: the per-pass value
+        # agrees to 1e-12, so its cube to 3e-12
+        for n_is in range(1, 301):
+            params = Protocol1Params(n_is=n_is, eps=eps)
+            per_pass = float(stats.binom.cdf(params.k, n_is, eps))
+            assert expected_success_probability(params) == pytest.approx(
+                per_pass**3, rel=3e-12)
+            assert impostor_pass_probability(params) == pytest.approx(
+                float(stats.binom.cdf(params.k, n_is, 0.5)), rel=1e-12)
+
     def test_noiseless_always_succeeds(self):
         counts = run_trials(NOISELESS, 200, seed=102)
         assert counts[IdentOutcome.SUCCESS] == 200

@@ -9,6 +9,7 @@ import hashlib
 import heapq
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +23,19 @@ from qident.budget import (
     corrected_len,
     expected_sifted_len,
     min_initial_secret_bits,
+    position_bits,
 )
 from qident.channel import EveParams, EveStrategy
-from qident.core import BitString, PoolExhausted, SecretPool, make_rng, random_bitstring
+from qident.core import (
+    BitString,
+    PoolExhausted,
+    SecretPool,
+    make_rng,
+    pack_uints,
+    random_bitstring,
+    unpack_uints,
+)
+from qident.estimation import NoSolution, solve_eps_limit
 from qident.protocol2 import (
     AdversaryScript,
     InsufficientDetections,
@@ -33,8 +44,6 @@ from qident.protocol2 import (
     WireMessage,
     _build_announce,
     _parse_announce,
-    _parse_bases_bits,
-    _parse_fixed,
     _parse_positions,
     _parse_verdict,
     compute_out_len,
@@ -128,22 +137,43 @@ class TestWireMessage:
                 WireMessage.from_bytes(frame[:-1] + bytes([last]))
 
 
-PARSERS = {
-    "positions": lambda p: _parse_positions(p, 4, 2, 12),
-    "bases-bits": lambda p: _parse_bases_bits(p, 3),
-    "verdict": _parse_verdict,
-    "announce": lambda p: _parse_announce(p, 12),
-    "fixed": lambda p: _parse_fixed(p, 9),
+# receivers at n = 12 pulses (4-bit positions) and s = 2: the stage, the
+# kind, the payload length expected (the table's entry, a detection count
+# of 9, or none for the self-describing announcement) and the parser
+LENGTHS = message_bit_lengths(12, 2)
+RECEIVERS = {
+    "positions": ("positions", MsgKind.POSITIONS, LENGTHS[MsgKind.POSITIONS],
+                  lambda p: _parse_positions(p, 4, 12)),
+    "bases-bits": ("bases-bits", MsgKind.BASES_AND_BITS, LENGTHS[MsgKind.BASES_AND_BITS],
+                   None),
+    "verdict": ("verdict", MsgKind.FINAL_VERDICT, LENGTHS[MsgKind.FINAL_VERDICT],
+                _parse_verdict),
+    "announce": ("announce", MsgKind.BASIS_ANNOUNCE, None, lambda p: _parse_announce(p, 12)),
+    "fixed": ("coincidence", MsgKind.COINCIDENCE, 9, None),
 }
 
 
-@pytest.mark.parametrize("name", PARSERS)
-@given(bits=st.lists(st.integers(0, 1), max_size=40))
-def test_arbitrary_payloads_parse_or_raise_wire_format_error(name, bits):
+@pytest.mark.parametrize("name", RECEIVERS)
+@given(data=st.data())
+def test_arbitrary_payloads_parse_or_raise_wire_format_error(name, data):
+    # through the receive path: a genuinely tagged payload reaches its
+    # parser only at the length expected, and a payload of any other
+    # length, or one its parser refuses, stops the session at
+    # <stage>-structure
+    stage, kind, n_bits, parse = RECEIVERS[name]
+    size = data.draw(st.one_of(st.just(n_bits or 13), st.integers(0, 40)))
+    payload = BitString(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    key = tag = None
+    if kind in protocol2.AUTHENTICATED_KINDS:
+        key = tuple(range(1, auth.words_needed(n_bits) + 1))
+        tag = auth.authenticate(payload, key)
+    res = SimpleNamespace(transcript=[])
     try:
-        PARSERS[name](BitString(bits))
-    except WireFormatError:
-        pass
+        protocol2._send(res, None, WireMessage(kind, payload, tag), stage, n_bits, parse, key)
+    except protocol2._Stop as stop:
+        assert str(stop) == f"{stage}-structure"
+        return
+    assert n_bits in (None, size)
 
 
 class TestSizing:
@@ -185,25 +215,34 @@ class TestSizing:
 
 class TestSubsetSelection:
     def test_sample_properties(self, rng):
-        detected = np.sort(rng.choice(100_000, size=9000, replace=False))
-        sample = select_subset_positions(detected, 2000, rng)
+        sample = select_subset_positions(9000, 2000, rng)
         assert sample.size == 2000
         assert np.all(np.diff(sample) > 0)  # sorted, no repeats
-        assert np.isin(sample, detected).all()
+        assert sample[0] >= 0 and sample[-1] < 9000
 
     def test_insufficient(self, rng):
         with pytest.raises(InsufficientDetections):
-            select_subset_positions(np.arange(1999), 2000, rng)
+            select_subset_positions(1999, 2000, rng)
 
     def test_uniform_inclusion(self, rng):
-        # every detected position is equally likely to be sampled
-        detected = np.arange(1000)
+        # every detection is equally likely to be sampled
         hits = np.zeros(1000)
         for _ in range(300):
-            hits[select_subset_positions(detected, 500, rng)] += 1
+            hits[select_subset_positions(1000, 500, rng)] += 1
         # inclusion probability 1/2; four-sigma binomial band per cell
         sd = np.sqrt(300 * 0.25)
         assert np.all(np.abs(hits - 150) <= 4 * sd + 1e-9)
+
+    def test_same_draws_as_sampling_the_sorted_positions(self):
+        # indices into sorted detections pick what a draw from the
+        # positions themselves picks, and leave the generator alike
+        detected = np.sort(make_rng(1).choice(100_000, size=9000, replace=False))
+        for seed in range(20):
+            a, b = make_rng(seed), make_rng(seed)
+            pick = select_subset_positions(detected.size, 2000, a)
+            drawn = np.sort(b.choice(detected, size=2000, replace=False))
+            assert np.array_equal(detected[pick], drawn)
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestAnnounceEncoding:
@@ -894,3 +933,99 @@ class TestAdversaries:
         else:
             assert res.identified and res.refuel_reason == stage
         assert_pools_mirrored(res)
+
+
+def sample_then(on_kind, rewrite):
+    """Tamper hook that reads the sample positions off POSITIONS, then
+    rewrites the payload of each on_kind frame as rewrite(payload bits,
+    sample positions, announced positions)."""
+    seen = {}
+
+    def tamper(msg):
+        bits = msg.payload.bits
+        if msg.kind is MsgKind.POSITIONS:
+            seen["sample"] = unpack_uints(bits, position_bits(SMALL.n_pulses))
+        if msg.kind is MsgKind.BASIS_ANNOUNCE:
+            seen["announced"] = np.flatnonzero(bits[: SMALL.n_pulses])
+        if msg.kind is on_kind:
+            return WireMessage(msg.kind, BitString(
+                rewrite(bits.copy(), seen["sample"], seen.get("announced"))))
+        return None
+
+    return tamper
+
+
+class TestFailClosed:
+    """Stops that an honest session or a one-bit tamper never reaches:
+    each leaves the session unrefuelled, the pools mirrored and nothing
+    raised."""
+
+    def assert_stops_unrefuelled(self, res, stop, identified=True):
+        assert res.identified is identified
+        assert (res.refuel_reason if identified else res.aborted_at) == stop
+        assert not res.refueled and res.distilled is None
+        assert_pools_mirrored(res)
+
+    def test_announce_hiding_the_sample_fails_alice_recheck(self):
+        # the map drops the sample positions, and their bases with them,
+        # so it stays consistent, yet Alice finds none of her sample in it
+        n = SMALL.n_pulses
+
+        def hide(bits, sample, _):
+            pos = np.flatnonzero(bits[:n])
+            keep = ~np.isin(pos, sample)
+            return _build_announce(n, pos[keep], bits[n:][keep]).bits
+
+        res = run_protocol2(SMALL, seed=10, adversary=AdversaryScript(
+            tamper=sample_then(MsgKind.BASIS_ANNOUNCE, hide)))
+        assert res.verdict_accept and not res.alice_recheck
+        self.assert_stops_unrefuelled(res, "alice-recheck")
+
+    def test_coincidence_naming_unmatched_bases_leaves_no_budget(self):
+        # a mask of the right weight that swaps 1,000 matched detections
+        # outside the sample for unmatched ones: Bob's key is a coin toss
+        # there, and error correction leaks more than the budget holds
+        def swap(bits, sample, announced):
+            free = ~np.isin(announced, sample)
+            ones = np.flatnonzero(free & (bits == 1))[:1000]
+            zeros = np.flatnonzero(free & (bits == 0))[:1000]
+            bits[ones], bits[zeros] = 0, 1
+            return bits
+
+        res = run_protocol2(SMALL, seed=10, adversary=AdversaryScript(
+            tamper=sample_then(MsgKind.COINCIDENCE, swap)))
+        assert res.leak > 0 and res.out_len <= 0
+        self.assert_stops_unrefuelled(res, "budget-nonpositive")
+
+    def test_budget_above_the_available_key_is_refused(self):
+        # at 25,000 pulses the budget's closed form counts on the expected
+        # sifted length, while the 2,000-position sample leaves ~150 bits
+        res = run_protocol2(replace(REFERENCE, n_pulses=25_000), seed=0)
+        assert res.out_len > res.n_key - res.leak > 0
+        self.assert_stops_unrefuelled(res, "budget-exceeds-available")
+
+    def test_sample_without_an_eps_limit_is_rejected(self):
+        # s = 5: no Bayesian limit exists for so few basis-matched bits
+        # (solve_eps_limit raises NoSolution), so the verdict is reject
+        params = replace(SMALL, s=5)
+        res = run_protocol2(params, seed=10)
+        with pytest.raises(NoSolution):
+            solve_eps_limit(res.s_real, params.delta, params.eps_max)
+        assert res.s_real > 0 and not res.verdict_accept
+        self.assert_stops_unrefuelled(res, "verdict-reject")
+
+    def test_genuinely_tagged_unsorted_sample_fails_structure(self, monkeypatch):
+        # Bob's own sample, out of order: its tag verifies, its parse fails
+        pick = protocol2.select_subset_positions
+        monkeypatch.setattr(protocol2, "select_subset_positions",
+                            lambda n, two_s, rng: pick(n, two_s, rng)[::-1])
+        res = run_protocol2(SMALL, seed=10)
+        self.assert_stops_unrefuelled(res, "positions-structure", identified=False)
+        assert res.transcript[-1].kind is MsgKind.ABORT
+
+    def test_genuinely_tagged_verdict_with_reserved_bits_fails_structure(self, monkeypatch):
+        monkeypatch.setattr(protocol2, "_build_verdict",
+                            lambda accept, k: pack_uints([accept << 31 | 1 << 20 | k], 32))
+        res = run_protocol2(SMALL, seed=10)
+        self.assert_stops_unrefuelled(res, "verdict-structure", identified=False)
+        assert res.transcript[-1].kind is MsgKind.ABORT
