@@ -294,18 +294,21 @@ def _cascade(diff: np.ndarray, block: int, rng) -> int:
     of block * 2**p bits in its own shuffled order and bisects each odd
     one.  A repaired bit toggles its block in every pass so far, and a
     block that turns odd is bisected too, earliest pass (smallest blocks)
-    first (Brassard & Salvail 1993)."""
+    first (Brassard & Salvail 1993).  Each pass keeps only its current
+    error set, as sorted shuffled ranks and as a map from position to
+    rank: a repair always clears a current error, so no other bit's rank
+    is ever asked for."""
     n = diff.size
     passes, leak = [], 0
     for p in range(EC_PASSES):
+        size = block << p
         order = rng.permutation(n)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(n)
-        shuffled = diff[order]
-        parity = np.add.reduceat(shuffled, np.arange(0, n, block << p)) & 1
+        flips = np.flatnonzero(diff[order])
+        parity = np.bincount(flips // size, minlength=-(-n // size)) & 1
         leak += parity.size
-        passes.append((block << p, order, rank, parity.tolist(),
-                       np.flatnonzero(shuffled).tolist()))
+        ranks = flips.tolist()
+        passes.append((size, order, dict(zip(order[flips].tolist(), ranks)),
+                       parity.tolist(), ranks))
         heap = [(p, b) for b in np.flatnonzero(parity).tolist()]  # sorted, so a heap
         while heap:
             q, b = heapq.heappop(heap)
@@ -313,10 +316,10 @@ def _cascade(diff: np.ndarray, block: int, rng) -> int:
             if odd_q[b]:
                 i, spent = _bisect(flips_q, b * size_q, min((b + 1) * size_q, n))
                 leak += spent
-                j = order_q[i]
+                j = int(order_q[i])
                 diff[j] ^= 1
                 for r, (size_r, _, rank_r, odd_r, flips_r) in enumerate(passes):
-                    x = int(rank_r[j])
+                    x = rank_r.pop(j)
                     del flips_r[bisect_left(flips_r, x)]
                     c = x // size_r
                     odd_r[c] ^= 1
@@ -407,10 +410,12 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     short announced seed.  An empty seed raises ValueError.
 
     T[i, j] = diag[(n_in - 1) + i - j], so output bit i is the parity of
-    the full convolution (diag * x)[n_in - 1 + i], computed with one
-    real FFT product.  Each convolution term is an integer count of at
-    most n_in; ArithmeticError is raised, rather than a bit guessed, if
-    a float64 result lies 0.25 or more from the nearest integer.
+    the convolution (diag * x)[n_in - 1 + i], computed with one real FFT
+    product, circular, of length L >= n_in + out_len - 1: the linear
+    terms at indices >= L wrap onto indices <= n_in - 2, below every
+    kept one.  Each convolution term is an integer count of at most n_in;
+    ArithmeticError is raised, rather than a bit guessed, if a float64
+    result lies 0.25 or more from the nearest integer.
     """
     n_in = len(bits)
     if not 0 <= out_len <= n_in:
@@ -422,7 +427,7 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     rng = make_rng(int.from_bytes(seed.to_bytes(), "big"))
     diag = rng.integers(0, 2, size=n_in + out_len - 1, dtype=np.uint8)
 
-    n_fft = sfft.next_fast_len(n_in + diag.size - 1, real=True)
+    n_fft = sfft.next_fast_len(diag.size, real=True)
     spectrum = sfft.rfft(diag, n_fft) * sfft.rfft(bits.bits, n_fft)
     conv = sfft.irfft(spectrum, n_fft)[n_in - 1 : n_in - 1 + out_len]
     counts = np.rint(conv)

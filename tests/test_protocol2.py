@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import fft as sfft
 
 from qident import auth, protocol2
 from qident.budget import (
@@ -511,9 +512,15 @@ class TestPrivacyAmplification:
                 privacy_amplify(bits, out_len, BitString.zeros(0))
 
     def test_matches_naive_toeplitz(self, rng):
-        # rebuild the matrix from the same seed and multiply it naively
-        cases = ((1, 1), (20, 8), (64, 64), (131, 40), (77, 77), (203, 9), (1000, 333))
-        for n_in, out_len in cases:
+        # rebuild the matrix from the same seed and multiply it naively;
+        # the boundary sizes put the circular FFT length exactly at
+        # n_in + out_len - 1, the shortest that keeps wrapped terms out
+        # of every output bit, and (65, 65) one above a fast length
+        boundary = ((65, 64), (129, 128), (1000, 25))
+        for n_in, out_len in boundary:
+            assert sfft.next_fast_len(n_in + out_len - 1, real=True) == n_in + out_len - 1
+        cases = ((1, 1), (20, 8), (64, 64), (65, 65), (131, 40), (77, 77), (203, 9), (1000, 333))
+        for n_in, out_len in cases + boundary:
             bits = random_bitstring(n_in, rng)
             seed = random_bitstring(128, rng)
             got = privacy_amplify(bits, out_len, seed)
@@ -728,7 +735,8 @@ class TestHonestSession:
     @pytest.mark.parametrize("n_pulses, pinned", [
         (100_000, (1011, 4, 245, 1637, -36671, "876dacc07635340c")),
         (3_000_000, (999, 6, 5947, 54617, 6305, "83849632dfa823d3")),
-    ], ids=["desk", "mid"])
+        (6_250_000, (1012, 5, 12469, 118179, 67854, "657b835f80188aee")),
+    ], ids=["desk", "mid", "reference"])
     def test_honest_canary_sessions_pinned(self, n_pulses, pinned):
         res = run_protocol2(replace(REFERENCE, n_pulses=n_pulses), seed=20260819)
         digest = hashlib.sha256(res.distilled.to_bytes()).hexdigest()[:16]
