@@ -29,24 +29,23 @@ Eavesdropper models:
   is known to Eve with probability fraction * mu / (4 * eta_tl), capped
   at one: the multi-photon share that the line loss hands an adversary
   sitting at the transmitter output.
-* PER_BIT_GUESS - abstract adversary who guesses each sifted bit with a
-  fixed success probability; bookkeeping for deception-bound studies,
-  no channel effect.
+
+In every model what Eve knows is one mask over Bob's detections,
+QkdRun.eve_known.  Per-bit guessing is analysed in budget, not here.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import BudgetParams, binary_entropy
-from .core import QidentError, counter_hash, make_rng, spawn_streams
+from .budget import BudgetParams
+from .core import counter_hash, make_rng, spawn_streams
 
 __all__ = [
-    "UnsupportedStrategy",
     "EveStrategy",
     "EveParams",
     "detection_probability",
@@ -57,15 +56,10 @@ __all__ = [
 ]
 
 
-class UnsupportedStrategy(QidentError):
-    """No defined information accounting for this eavesdropping model."""
-
-
 class EveStrategy(enum.Enum):
     NONE = "none"
     INTERCEPT_RESEND = "intercept-resend"
     BEAMSPLIT = "beamsplit"
-    PER_BIT_GUESS = "per-bit-guess"
 
 
 @dataclass(frozen=True)
@@ -74,20 +68,14 @@ class EveParams:
 
     fraction: share of pulses intercepted (INTERCEPT_RESEND) or share of
     the multi-photon tap exploited (BEAMSPLIT).
-    guess_prob: per-bit success probability for PER_BIT_GUESS, in
-    [0.5, 1].
     """
 
     strategy: EveStrategy = EveStrategy.NONE
     fraction: float = 1.0
-    guess_prob: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must lie in [0, 1]")
-        if self.strategy is EveStrategy.PER_BIT_GUESS:
-            if self.guess_prob is None or not 0.5 <= self.guess_prob <= 1.0:
-                raise ValueError("PER_BIT_GUESS needs guess_prob in [0.5, 1]")
 
 
 def detection_probability(params: BudgetParams) -> float:
@@ -129,26 +117,22 @@ def _detections(n: int, p: float, rng: np.random.Generator) -> np.ndarray:
 class QkdRun:
     """Transcript of one simulated run, held at Bob's detections.
 
-    detected holds the sorted pulse indices Bob detected; every other
-    array has one entry per detection, eve_known being the BEAMSPLIT tap
-    mask (None for every other model).  Alice's values at any pulse,
-    detected or not, are alice_at(pulses).  Runs compare by identity.
+    detected holds the sorted pulse indices Bob detected and sifted the
+    indices of detections where the bases match; every other array has
+    one entry per detection, eve_known marking the ones whose bit Eve
+    knows outright.  Alice's values at any pulse, detected or not, are
+    alice_at(pulses).  Runs compare by identity.
     """
 
     params: BudgetParams
-    eve: EveParams
     alice_key: int
     detected: np.ndarray
     alice_bits: np.ndarray
     alice_bases: np.ndarray
     bob_bases: np.ndarray
     bob_bits: np.ndarray
-    eve_known: np.ndarray | None
-    sifted: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        # detection indices where the bases match
-        self.sifted = np.flatnonzero(self.alice_bases == self.bob_bases)
+    eve_known: np.ndarray
+    sifted: np.ndarray
 
     def alice_at(self, pulses) -> tuple[np.ndarray, np.ndarray]:
         return _alice_values(self.alice_key, pulses)
@@ -173,31 +157,12 @@ class QkdRun:
         return self.error_count / self.n_sifted
 
     def eve_known_sifted(self) -> np.ndarray:
-        """Boolean mask over the sifted set: bits Eve knows outright.
-        Only the BEAMSPLIT model tracks such a mask."""
-        if self.eve_known is None:
-            return np.zeros(self.n_sifted, dtype=bool)
+        """Boolean mask over the sifted set: bits Eve knows outright."""
         return self.eve_known[self.sifted]
 
     def eve_information_bits(self) -> float:
-        """Adversary knowledge of the sifted string, in bits.
-
-        NONE gives 0; BEAMSPLIT counts tapped-and-matched bits;
-        PER_BIT_GUESS charges 1 - H2(guess_prob) per sifted bit.  An
-        intercept-resend adversary is detected through the error rate,
-        not tolerated, so no knowledge figure is defined for it.
-        """
-        s = self.eve.strategy
-        if s is EveStrategy.NONE:
-            return 0.0
-        if s is EveStrategy.BEAMSPLIT:
-            return float(self.eve_known_sifted().sum())
-        if s is EveStrategy.PER_BIT_GUESS:
-            return self.n_sifted * (1.0 - binary_entropy(self.eve.guess_prob))
-        raise UnsupportedStrategy(
-            f"no information accounting for {s.value}; disturbance models "
-            "are handled by the error estimate"
-        )
+        """Adversary knowledge of the sifted string, in bits."""
+        return float(self.eve_known_sifted().sum())
 
 
 def run_qkd(
@@ -209,8 +174,9 @@ def run_qkd(
 
     Alice, Bob and Eve each get their own child stream (see the module
     docstring), so Bob's arrays for a given seed are identical under
-    NONE, BEAMSPLIT and PER_BIT_GUESS, and identification-side results
-    never depend on whether a passive adversary was modelled.
+    NONE and BEAMSPLIT, and identification-side results never depend on
+    whether a passive adversary was modelled.  eve_known marks the
+    detections Eve tapped, or intercepted in Alice's basis.
 
     The intrinsic error rate params.eps must lie below 1/2, where a
     channel still carries information; BudgetParams itself admits
@@ -236,14 +202,15 @@ def run_qkd(
     flip = u_noise < params.eps
     bob_bits = np.where(matched, alice_bits ^ flip, coin)
 
-    eve_known: np.ndarray | None = None
+    eve_known = np.zeros(m, dtype=bool)
     if eve.strategy is EveStrategy.INTERCEPT_RESEND:
         intercepted = rng_eve.random(m) < eve.fraction
         eve_bases = rng_eve.integers(0, 2, m, dtype=np.uint8)
-        # Eve resends in her basis: when it matches Alice's the pulse is
-        # faithful, otherwise Bob's matched-basis outcome is a fair coin
-        # (reuse the noise draw as the coin: flip Alice's bit at 1/2)
-        garbled = intercepted & (eve_bases != alice_bases) & matched
+        # Eve resends in her basis: when it matches Alice's she knows the
+        # bit, else Bob's matched-basis outcome is a fair coin (reuse the
+        # noise draw as the coin: flip Alice's bit at 1/2)
+        eve_known = intercepted & (eve_bases == alice_bases)
+        garbled = intercepted & ~eve_known & matched
         bob_bits = np.where(garbled, alice_bits ^ (u_noise < 0.5), bob_bits)
     elif eve.strategy is EveStrategy.BEAMSPLIT:
         # a tap probability above one (a very lossy line) taps every pulse
@@ -251,7 +218,6 @@ def run_qkd(
 
     return QkdRun(
         params=params,
-        eve=eve,
         alice_key=alice_key,
         detected=detected,
         alice_bits=alice_bits,
@@ -259,6 +225,7 @@ def run_qkd(
         bob_bases=bob_bases,
         bob_bits=bob_bits,
         eve_known=eve_known,
+        sifted=np.flatnonzero(matched),
     )
 
 

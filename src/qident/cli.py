@@ -137,12 +137,7 @@ def _budget_params(cfg: dict) -> BudgetParams:
 
 
 def _eve_params(cfg: dict) -> EveParams:
-    strategy = EveStrategy(cfg.get("strategy", "none"))
-    return EveParams(
-        strategy=strategy,
-        fraction=cfg.get("fraction", 1.0),
-        guess_prob=cfg.get("p_bar") if strategy is EveStrategy.PER_BIT_GUESS else None,
-    )
+    return EveParams(EveStrategy(cfg.get("strategy", "none")), cfg.get("fraction", 1.0))
 
 
 def _fmt(v) -> str:
@@ -182,10 +177,8 @@ def cmd_simulate_qkd(args, cfg) -> int:
     rows = []
     for t in range(args.trials):
         run = run_qkd(params, root, eve)
-        known = ("" if eve.strategy is EveStrategy.INTERCEPT_RESEND
-                 else run.eve_information_bits())
         rows.append((t, run.n_detected, run.n_sifted, run.error_count,
-                     run.error_rate, known))
+                     run.error_rate, run.eve_information_bits()))
         _say(f"trial {t}: detected={run.n_detected} sifted={run.n_sifted} "
              f"errors={run.error_count} rate={run.error_rate:.5f}")
         if args.dump:

@@ -89,14 +89,13 @@ def solve_eps_limit(s: int, delta: float, eps_max: float) -> float:
 
 
 def acceptable_error_count(s: int, delta: float, eps_max: float) -> int:
-    """Largest mismatch count k that passes the certification test on a
-    sample of s bits."""
+    """Largest k with k / s <= solve_eps_limit(s, delta, eps_max): the
+    highest mismatch count a session's verdict accepts on s bits."""
     limit = solve_eps_limit(s, delta, eps_max)
     k = math.floor(limit * s)
-    # the bisection returns a conservative edge; admit the next integer
-    # when it certifies too
-    while k + 1 <= s and posterior_tail(s, (k + 1) / s, eps_max) <= delta:
+    # limit * s may round across an integer; step to the exact edge
+    while (k + 1) / s <= limit:
         k += 1
-    while k > 0 and posterior_tail(s, k / s, eps_max) > delta:
+    while k / s > limit:
         k -= 1
     return k

@@ -140,13 +140,19 @@ class TestSimulateQkd:
         assert code == 2
         assert "error:" in err
 
-    def test_intercept_resend_blanks_knowledge_column(self, capsys, tmp_path):
+    def test_intercept_resend_fills_knowledge_column(self, capsys, tmp_path):
         cfg = write_config(
             tmp_path, "n_pulses = 20000\nstrategy = intercept-resend\n"
         )
         code, out, _ = run_cli(capsys, "simulate-qkd", "--config", cfg)
         assert code == 0
-        assert out.splitlines()[2].endswith(",")
+        assert float(out.splitlines()[2].rsplit(",", 1)[1]) > 0
+
+    def test_per_bit_guess_strategy_refused(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, "strategy = per-bit-guess\n")
+        code, out, err = run_cli(capsys, "simulate-qkd", "--config", cfg)
+        assert code == 2 and out == ""
+        assert "strategy" in err
 
     def test_bad_config_value(self, capsys, tmp_path):
         cfg = write_config(tmp_path, "eta_tl = 0\n")

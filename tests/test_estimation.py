@@ -7,12 +7,14 @@ here.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from qident.budget import BudgetParams
 from qident.core import QidentError
 from qident.estimation import (
     NoSolution,
@@ -20,6 +22,7 @@ from qident.estimation import (
     posterior_tail,
     solve_eps_limit,
 )
+from qident.protocol2 import _accepts
 
 
 class NumericalFailure(QidentError):
@@ -155,3 +158,18 @@ class TestEpsLimit:
         assert k == 24
         assert posterior_tail(1000, k / 1000, 0.07) <= 1e-10
         assert posterior_tail(1000, (k + 1) / 1000, 0.07) > 1e-10
+
+    def test_acceptable_error_count_is_the_verdicts_edge(self):
+        # the count epslim prints is the highest k a session's verdict
+        # accepts on a sample of s.  The verdict compares with the
+        # bisection's conservative limit, so a count the posterior alone
+        # would certify can still be refused (at s = 848, 18 is)
+        params = replace(BudgetParams.reference(), delta=1e-10, eps_max=0.07)
+        for s in range(30, 2001):
+            try:
+                k = acceptable_error_count(s, params.delta, params.eps_max)
+            except NoSolution:
+                assert not _accepts(0, s, params), s
+                continue
+            assert _accepts(k, s, params), s
+            assert not _accepts(k + 1, s, params), s
