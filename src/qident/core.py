@@ -27,6 +27,7 @@ __all__ = [
     "spawn_streams",
     "random_bitstring",
     "counter_hash",
+    "shuffle_rank",
     "strict_ceil",
     "pack_uints",
     "unpack_uints",
@@ -292,6 +293,27 @@ def counter_hash(key: int, counters) -> np.ndarray:
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z
+
+
+def shuffle_rank(key: int, n: int, positions) -> np.ndarray:
+    """Rank of each position under the key's permutation of [0, n):
+    Black & Rogaway's (2002) generalized Feistel cipher on Z_a x Z_b,
+    a = isqrt(n - 1) + 1, b = ceil(n / a), x as (x mod a, x // a).  Round
+    r < 8 adds counter_hash(key, r * 2**40 + other half) to one half mod
+    its size; a rank of n or more (a * b - n < a) walks on until below n.
+    Four rounds left cells 5.5 sigma off uniform at n = 5 over 7,000 keys."""
+    a = math.isqrt(max(n - 1, 0)) + 1
+    sizes = (np.uint64(a), np.uint64(-(-n // a)))
+    x = np.array(positions, dtype=np.uint64)
+    walk = np.arange(x.size)
+    while walk.size:
+        halves = [x[walk] % sizes[0], x[walk] // sizes[0]]
+        for r in range(8):
+            h = counter_hash(key, np.uint64(r << 40) | halves[~r & 1])
+            halves[r & 1] = (halves[r & 1] + h % sizes[r & 1]) % sizes[r & 1]
+        x[walk] = halves[0] + sizes[0] * halves[1]
+        walk = walk[x[walk] >= n]
+    return x.view(np.int64)
 
 
 # -- fixed-width integer packing ------------------------------------

@@ -14,8 +14,9 @@ Message flow (kinds in parentheses; B is the photon receiver):
                                  his basis at each detection
     A -> B  COINCIDENCE (6)      basis-match mask over the detections
             (interactive parity error correction, in process)
-    A -> B  PA_SEED (7)          seed of the final compression hash; A hashes
-                                 with the seed she drew, B with the one received
+    A -> B  PA_SEED (7)          diagonal of the final compression hash, one
+                                 bit fewer than the key; A hashes with the one
+                                 she drew, B with the one received
     either  ABORT (4)
 
 Identification is mutual: each party proves possession of the pool by
@@ -52,6 +53,7 @@ on kinds 1-3.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import math
 from bisect import bisect_left
@@ -77,6 +79,7 @@ from .core import (
     make_rng,
     pack_uints,
     random_bitstring,
+    shuffle_rank,
     spawn_streams,
     sync_pools,
     unpack_uints,
@@ -294,32 +297,34 @@ def _cascade(diff: np.ndarray, block: int, rng) -> int:
     of block * 2**p bits in its own shuffled order and bisects each odd
     one.  A repaired bit toggles its block in every pass so far, and a
     block that turns odd is bisected too, earliest pass (smallest blocks)
-    first (Brassard & Salvail 1993).  Each pass keeps only its current
-    error set, as sorted shuffled ranks and as a map from position to
-    rank: a repair always clears a current error, so no other bit's rank
-    is ever asked for."""
+    first (Brassard & Salvail 1993).  Pass p ranks position i at
+    shuffle_rank(key_p, n, i), key_p drawn from rng, but only for its
+    current errors, kept as sorted ranks and as maps between position and
+    rank: a bisection ends on an odd one-rank segment, an error, and a
+    repair clears one, so no other bit's rank is ever asked for."""
     n = diff.size
     passes, leak = [], 0
     for p in range(EC_PASSES):
         size = block << p
-        order = rng.permutation(n)
-        flips = np.flatnonzero(diff[order])
-        parity = np.bincount(flips // size, minlength=-(-n // size)) & 1
+        errs = np.flatnonzero(diff)
+        ranks = shuffle_rank(int(rng.integers(1 << 63)), n, errs)
+        parity = np.bincount(ranks // size, minlength=-(-n // size)) & 1
         leak += parity.size
-        ranks = flips.tolist()
-        passes.append((size, order, dict(zip(order[flips].tolist(), ranks)),
-                       parity.tolist(), ranks))
+        errs, ranks = errs.tolist(), ranks.tolist()
+        passes.append((size, dict(zip(errs, ranks)), dict(zip(ranks, errs)),
+                       parity.tolist(), sorted(ranks)))
         heap = [(p, b) for b in np.flatnonzero(parity).tolist()]  # sorted, so a heap
         while heap:
             q, b = heapq.heappop(heap)
-            size_q, order_q, _, odd_q, flips_q = passes[q]
+            size_q, _, at_q, odd_q, flips_q = passes[q]
             if odd_q[b]:
                 i, spent = _bisect(flips_q, b * size_q, min((b + 1) * size_q, n))
                 leak += spent
-                j = int(order_q[i])
+                j = at_q[i]
                 diff[j] ^= 1
-                for r, (size_r, _, rank_r, odd_r, flips_r) in enumerate(passes):
+                for r, (size_r, rank_r, at_r, odd_r, flips_r) in enumerate(passes):
                     x = rank_r.pop(j)
+                    del at_r[x]
                     del flips_r[bisect_left(flips_r, x)]
                     c = x // size_r
                     odd_r[c] ^= 1
@@ -379,11 +384,11 @@ def error_correct(
     bisection.  A parity the parties can work out from those and the
     repairs, such as that of a block a repair re-opens, costs nothing.
 
-    Phase 1 draws one permutation per pass from rng, then phase 2 one
-    63-bit key whose subsets come from _in_subset, a public function of
-    it.  The simulation follows diff = alice ^ bob, so a parity
-    comparison is the parity of diff over a subset, and the corrected
-    copy is alice ^ diff.
+    Each Cascade pass draws one 63-bit key from rng, whose shuffle comes
+    from shuffle_rank, then phase 2 one whose subsets come from
+    _in_subset: public functions of the keys.  The simulation follows
+    diff = alice ^ bob, so a parity comparison is the parity of diff over
+    a subset, and the corrected copy is alice ^ diff.
     """
     if alice.shape != bob.shape or alice.ndim != 1:
         raise ValueError("need two equal-length bit vectors")
@@ -398,42 +403,42 @@ def error_correct(
 
 # -- privacy amplification ---------------------------------------------
 
-# bits of the compression seed A draws and announces
-PA_SEED_BITS = 128
-
 
 def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString:
-    """Compress bits to out_len via a random Toeplitz matrix over GF(2).
-
-    The matrix diagonals are the bits of a generator seeded from the
-    seed payload, so both parties reproduce the same matrix from the
-    short announced seed.  An empty seed raises ValueError.
-
-    T[i, j] = diag[(n_in - 1) + i - j], so output bit i is the parity of
-    the convolution (diag * x)[n_in - 1 + i], computed with one real FFT
-    product, circular, of length L >= n_in + out_len - 1: the linear
-    terms at indices >= L wrap onto indices <= n_in - 2, below every
-    kept one.  Each convolution term is an integer count of at most n_in;
-    ArithmeticError is raised, rather than a bit guessed, if a float64
-    result lies 0.25 or more from the nearest integer.
-    """
+    """Compress bits to out_len with the modified Toeplitz matrix [I | T']
+    over GF(2), universal by Hayashi & Tsurumaru (2016): x[:out_len] ^
+    T' x[out_len:], with T'[i, j] = seed[(m - 1) + i - j], m = n_in -
+    out_len.  A seed of other than n_in - 1 bits raises ValueError, so an
+    emptied seed cannot turn compression off.  T' x[out_len:] is the
+    convolution (seed * x[out_len:])[m - 1 + i], one real FFT product,
+    circular, of length L >= n_in - 1: linear terms at indices >= L wrap
+    onto indices <= m - 2, below every kept one.  ArithmeticError is
+    raised, rather than a bit guessed, if a float64 count lies 0.25 or
+    more from the nearest integer."""
     n_in = len(bits)
+    if len(seed) != n_in - 1:
+        raise ValueError(f"a {n_in}-bit input needs a {n_in - 1}-bit seed, got {len(seed)}")
     if not 0 <= out_len <= n_in:
         raise ValueError("out_len must be in [0, input length]")
-    if len(seed) == 0:
-        raise ValueError("privacy amplification needs a non-empty seed")
-    if out_len == 0:
-        return BitString.zeros(0)
-    rng = make_rng(int.from_bytes(seed.to_bytes(), "big"))
-    diag = rng.integers(0, 2, size=n_in + out_len - 1, dtype=np.uint8)
-
-    n_fft = sfft.next_fast_len(diag.size, real=True)
-    spectrum = sfft.rfft(diag, n_fft) * sfft.rfft(bits.bits, n_fft)
-    conv = sfft.irfft(spectrum, n_fft)[n_in - 1 : n_in - 1 + out_len]
+    m = n_in - out_len
+    if m == 0 or out_len == 0:
+        return bits[:out_len]
+    n_fft = sfft.next_fast_len(n_in - 1, real=True)
+    spectrum = _seed_spectrum(seed.to_bytes(), n_fft) * sfft.rfft(bits.bits[out_len:], n_fft)
+    conv = sfft.irfft(spectrum, n_fft)[m - 1 : n_in - 1]
     counts = np.rint(conv)
     if np.max(np.abs(conv - counts)) >= 0.25:
         raise ArithmeticError("FFT convolution too inexact to round to counts")
-    return BitString((counts.astype(np.int64) & 1).astype(np.uint8))
+    return BitString(bits.bits[:out_len] ^ (counts.astype(np.int64) & 1).astype(np.uint8))
+
+
+@functools.lru_cache(maxsize=1)
+def _seed_spectrum(seed: bytes, n_fft: int) -> np.ndarray:
+    """Read-only rfft of the packed seed's bits, zero-padded to n_fft: a
+    party hashing with the seed last used reuses its transform."""
+    spectrum = sfft.rfft(np.unpackbits(np.frombuffer(seed, np.uint8)), n_fft)
+    spectrum.flags.writeable = False
+    return spectrum
 
 
 def compute_out_len(params: BudgetParams, eps_est: float, leak: int) -> int:
@@ -691,10 +696,11 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     if out_len > alice_key.size - leak:
         raise _Stop("budget-exceeds-available")
 
-    # A -> B: compression seed; each party hashes with its own copy
-    seed = random_bitstring(PA_SEED_BITS, rng)
+    # A -> B: the hash's diagonal, a bit shorter than the key; each party
+    # hashes with its own copy
+    seed = random_bitstring(alice_key.size - 1, rng)
     seed_at_bob = _send(res, tamper, WireMessage(MsgKind.PA_SEED, seed), "pa-seed",
-                        PA_SEED_BITS)
+                        bob_key.size - 1)
     alice_new = privacy_amplify(BitString(alice_key), out_len, seed)
     bob_new = privacy_amplify(BitString(bob_corrected), out_len, seed_at_bob)
     if alice_new != bob_new:

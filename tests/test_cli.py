@@ -366,7 +366,7 @@ CRITERION_11_CSV = [
     (("simulate-qkd", "--config", "desk.cfg", "--seed", "3", "--trials", "2"),
      "ac892044eac8392676376a07e1021ae19618e9fbf1b1760146017cd94834f4e1"),
     (("protocol2", "--config", "desk.cfg", "--seed", "5"),
-     "d5877e35031bacd898ad5c55fc0c0813aba3647a13a36c0c6305ca7306074484"),
+     "19066ffdda03c34e4ad08b9306ce20261d1e39748c2e32a359831cfbbdeb5efc"),
     (("deception", "--seed", "6"),
      "53837e38d138f2086b675838261f33360029d65bc09a3d315503deb1c277f38e"),
     (("epslim", "--seed", "7"),

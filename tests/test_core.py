@@ -1,4 +1,5 @@
-"""Domain-type behaviour: bit strings, pools, pointers, packing."""
+"""Domain-type behaviour: bit strings, pools, pointers, packing, the
+keyed shuffle."""
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qident.core import (
     make_rng,
     pack_uints,
     random_bitstring,
+    shuffle_rank,
     spawn_streams,
     strict_ceil,
     sync_pools,
@@ -187,3 +189,31 @@ class TestPacking:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             unpack_uints(BitString.from01("101").bits, 2)
+
+
+class TestShuffleRank:
+    KEYS = (0, 1, 0x5DEECE66D, (1 << 63) - 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 255, 256, 257, 4_500, 285_000])
+    def test_bijection_onto_the_range(self, n):
+        for key in self.KEYS:
+            ranks = shuffle_rank(key, n, np.arange(n))
+            assert np.array_equal(np.sort(ranks), np.arange(n))
+
+    def test_vectorized_equals_elementwise(self, rng):
+        n = 4_500
+        positions = rng.choice(n, 300, replace=False)
+        for key in self.KEYS:
+            ranks = shuffle_rank(key, n, positions)
+            assert ranks.tolist() == [int(shuffle_rank(key, n, [i])[0]) for i in positions]
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_each_position_lands_uniformly(self, n):
+        # the (position, rank) table over 7,000 consecutive keys: each
+        # cell within 5 sigma of 7,000 / n
+        keys = 7_000
+        table = np.zeros((n, n))
+        for key in range(keys):
+            table[np.arange(n), shuffle_rank(key, n, np.arange(n))] += 1
+        p = 1 / n
+        assert np.all(np.abs(table - keys * p) <= 5 * np.sqrt(keys * p * (1 - p)))

@@ -1,7 +1,7 @@
 """Public-channel identification and refuelling tests.
 
-The privacy-amplification oracle rebuilds the Toeplitz matrix row by
-row from the same seed and multiplies it naively; the session tests
+The privacy-amplification oracle builds the [I | T'] matrix entry by
+entry from the seed's bits and multiplies it densely; the session tests
 pin the exact key-consumption accounting and walk every abort edge.
 """
 
@@ -34,6 +34,7 @@ from qident.core import (
     make_rng,
     pack_uints,
     random_bitstring,
+    shuffle_rank,
     unpack_uints,
 )
 from qident.estimation import NoSolution, solve_eps_limit
@@ -374,7 +375,8 @@ class TestErrorCorrection:
                 heapq.heappush(heap, (q, lo // sizes[q]))
 
             for p in range(protocol2.EC_PASSES):
-                orders.append(rng.permutation(n))
+                key = int(rng.integers(1 << 63))
+                orders.append(np.argsort(shuffle_rank(key, n, np.arange(n))))
                 sizes.append(block << p)
                 heap = []
                 for lo in range(0, n, sizes[p]):
@@ -472,6 +474,18 @@ class TestErrorCorrection:
         if f_max is not None:
             assert np.mean(leaks) <= f_max * np.mean(limits)
 
+    def test_reference_size_keys_corrected_within_1_2_of_the_limit(self):
+        # each of eight 285k-bit keys at eps = 0.004, the true rate as
+        # hint, is corrected with f = leak / (n * H2(errors / n)) <= 1.20
+        n = 285_000
+        for seed in range(1, 9):
+            data = make_rng(seed)
+            a = data.integers(0, 2, n, dtype=np.uint8)
+            b = a ^ (data.random(n) < 0.004).astype(np.uint8)
+            _, bob, leak = error_correct(a, b, 0.004, data)
+            assert np.array_equal(bob, a)
+            assert leak <= 1.20 * n * binary_entropy(np.count_nonzero(a != b) / n)
+
     @pytest.mark.parametrize(
         "key, first",
         [(0x5DEECE66D, 0), ((1 << 63) - 1, (1 << 40) - (1 << 16))],
@@ -488,62 +502,68 @@ class TestErrorCorrection:
         agree = (rounds[1:] == rounds[:-1]).sum(axis=1)
         assert np.all(np.abs(agree - n / 2) <= five_sigma)
 
-    def test_draws_four_permutations_then_one_key(self, rng):
-        # one permutation per Cascade pass, then the phase-2 key; repairs
+    def test_draws_four_pass_keys_then_the_phase_2_key(self, rng):
+        # one shuffle key per Cascade pass, then the phase-2 key; repairs
         # draw nothing
         a = rng.integers(0, 2, 1024, dtype=np.uint8)
         b = a.copy()
         b[::100] ^= 1
         gen, ref = make_rng(4), make_rng(4)
         error_correct(a, b, 0.01, gen)
-        for _ in range(4):
-            ref.permutation(1024)
-        ref.integers(1 << 63)
+        for _ in range(5):
+            ref.integers(1 << 63)
         assert gen.integers(1 << 62) == ref.integers(1 << 62)
+
+
+def dense_pa(x, out_len, seed):
+    """x[:out_len] + T' x[out_len:] mod 2 with T' built entry by entry,
+    T'[i, j] = seed[(m - 1) + i - j]."""
+    m = x.size - out_len
+    i, j = np.arange(out_len)[:, None], np.arange(m)[None, :]
+    t = seed[(m - 1) + i - j].astype(np.int64)
+    return (x[:out_len] + t @ x[out_len:].astype(np.int64)) % 2
 
 
 class TestPrivacyAmplification:
     def test_empty_seed_raises(self, rng):
         # the seed travels unauthenticated; emptying it must not turn
-        # compression off
+        # compression off, whatever the output length, and a seed a bit
+        # short or long is refused too
         bits = random_bitstring(100, rng)
-        for out_len in (0, 40):
-            with pytest.raises(ValueError):
-                privacy_amplify(bits, out_len, BitString.zeros(0))
+        for seed_len in (0, 98, 100):
+            for out_len in (0, 40, 100, 101):
+                with pytest.raises(ValueError, match="seed"):
+                    privacy_amplify(bits, out_len, BitString.zeros(seed_len))
 
     def test_matches_naive_toeplitz(self, rng):
-        # rebuild the matrix from the same seed and multiply it naively;
-        # the boundary sizes put the circular FFT length exactly at
-        # n_in + out_len - 1, the shortest that keeps wrapped terms out
-        # of every output bit, and (65, 65) one above a fast length
-        boundary = ((65, 64), (129, 128), (1000, 25))
-        for n_in, out_len in boundary:
-            assert sfft.next_fast_len(n_in + out_len - 1, real=True) == n_in + out_len - 1
-        cases = ((1, 1), (20, 8), (64, 64), (65, 65), (131, 40), (77, 77), (203, 9), (1000, 333))
-        for n_in, out_len in cases + boundary:
+        # against a dense GF(2) matrix-vector product: the identity and
+        # one-bit outputs, the smallest input, inputs whose n_in - 1 is a
+        # fast FFT length (the circular length is then exactly n_in - 1,
+        # the shortest that keeps wrapped terms below every output bit)
+        # or one above one, then random sizes up to 400 bits
+        fast = (65, 129, 361)
+        for n_in in fast:
+            assert sfft.next_fast_len(n_in - 1, real=True) == n_in - 1
+        cases = [(40, 40), (40, 1), (2, 1), (1, 1), (1, 0), (300, 0)]
+        cases += [(n_in + d, o) for n_in in fast for d in (0, 1) for o in (1, 30, n_in - 1)]
+        for _ in range(300):
+            n_in = int(rng.integers(2, 401))
+            cases.append((n_in, int(rng.integers(1, n_in + 1))))
+        for n_in, out_len in cases:
             bits = random_bitstring(n_in, rng)
-            seed = random_bitstring(128, rng)
+            seed = random_bitstring(n_in - 1, rng)
             got = privacy_amplify(bits, out_len, seed)
-            gen = make_rng(int.from_bytes(seed.to_bytes(), "big"))
-            diag = gen.integers(0, 2, size=n_in + out_len - 1, dtype=np.uint8)
-            x = bits.bits
-            want = [
-                int(np.bitwise_xor.reduce(
-                    diag[(n_in - 1) + i - np.arange(n_in)] & x
-                ))
-                for i in range(out_len)
-            ]
-            assert got.to01() == "".join(str(v) for v in want)
+            assert np.array_equal(got.bits, dense_pa(bits.bits, out_len, seed.bits))
 
     def test_reference_size_output_pinned(self):
-        # SHA-256 of the output of the strided-popcount routine that the
-        # FFT product replaced, at the reference session's PA size
+        # SHA-256 of the output at the reference session's PA size, checked
+        # once against a bit-by-bit product over Python integers
         bits = random_bitstring(285_114, make_rng(1))
-        seed = random_bitstring(128, make_rng(2))
+        seed = random_bitstring(285_113, make_rng(2))
         out = privacy_amplify(bits, 125_026, seed)
         assert len(out) == 125_026
         assert hashlib.sha256(out.to_bytes()).hexdigest() == (
-            "e298cd59aebc73ca08cbe273c4888d65c2f5ece4139373e1e39517fa29f83fdd"
+            "80f50b307897b32d369971b2e662745c39615a69cf607d1b98ac2d84f0da27c4"
         )
 
     def test_inexact_convolution_raises(self, rng, monkeypatch):
@@ -552,32 +572,49 @@ class TestPrivacyAmplification:
             protocol2.sfft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.5
         )
         with pytest.raises(ArithmeticError):
-            privacy_amplify(random_bitstring(300, rng), 100, random_bitstring(128, rng))
+            privacy_amplify(random_bitstring(300, rng), 100, random_bitstring(299, rng))
 
     def test_linear_over_xor(self, rng):
         x = random_bitstring(500, rng)
         y = random_bitstring(500, rng)
-        seed = random_bitstring(128, rng)
+        seed = random_bitstring(499, rng)
         lhs = privacy_amplify(x.xor(y), 120, seed)
         rhs = privacy_amplify(x, 120, seed).xor(privacy_amplify(y, 120, seed))
         assert lhs == rhs
 
     def test_deterministic_and_seed_sensitive(self, rng):
         bits = random_bitstring(2000, rng)
-        s1 = random_bitstring(128, rng)
-        s2 = random_bitstring(128, rng)
+        s1 = random_bitstring(1999, rng)
+        s2 = random_bitstring(1999, rng)
         assert privacy_amplify(bits, 500, s1) == privacy_amplify(bits, 500, s1)
         assert privacy_amplify(bits, 500, s1) != privacy_amplify(bits, 500, s2)
 
+    def test_rewritten_seed_misses_the_cached_transform(self, rng):
+        # Bob's call with Alice's seed reuses her transform, read-only; a
+        # seed one bit off is transformed afresh and hashes differently
+        alice, bob = random_bitstring(1000, rng), random_bitstring(1000, rng)
+        seed = random_bitstring(999, rng)
+        privacy_amplify(alice, 400, seed)
+        hits = protocol2._seed_spectrum.cache_info().hits
+        honest = privacy_amplify(bob, 400, seed)
+        assert protocol2._seed_spectrum.cache_info().hits == hits + 1
+        n_fft = sfft.next_fast_len(999, real=True)
+        assert not protocol2._seed_spectrum(seed.to_bytes(), n_fft).flags.writeable
+        rewritten = privacy_amplify(bob, 400, seed.flipped(500))
+        assert rewritten != honest
+        assert np.array_equal(rewritten.bits, dense_pa(bob.bits, 400, seed.flipped(500).bits))
+
     def test_output_is_balanced(self, rng):
-        out = privacy_amplify(random_bitstring(2000, rng), 1000, random_bitstring(128, rng))
+        out = privacy_amplify(random_bitstring(2000, rng), 1000, random_bitstring(1999, rng))
         assert abs(out.count_ones() - 500) <= 4 * np.sqrt(1000 * 0.25)
 
     def test_bounds(self, rng):
         bits = random_bitstring(10, rng)
-        assert len(privacy_amplify(bits, 0, random_bitstring(8, rng))) == 0
+        seed = random_bitstring(9, rng)
+        assert len(privacy_amplify(bits, 0, seed)) == 0
+        assert privacy_amplify(bits, 10, seed) == bits
         with pytest.raises(ValueError):
-            privacy_amplify(bits, 11, random_bitstring(8, rng))
+            privacy_amplify(bits, 11, seed)
 
 
 class TestOutLen:
@@ -733,9 +770,9 @@ class TestHonestSession:
         assert min(ks) < protocol2.EC_MIN_MISMATCHES < max(ks)
 
     @pytest.mark.parametrize("n_pulses, pinned", [
-        (100_000, (1011, 4, 245, 1637, -36671, "876dacc07635340c")),
-        (3_000_000, (999, 6, 5947, 54617, 6305, "83849632dfa823d3")),
-        (6_250_000, (1012, 5, 12469, 118179, 67854, "657b835f80188aee")),
+        (100_000, (1011, 4, 241, 1637, -36671, "125e696a29f0b1bd")),
+        (3_000_000, (999, 6, 5933, 54617, 6305, "5f8fd69bece919ed")),
+        (6_250_000, (1012, 5, 12525, 118179, 67854, "aff53ac7d15348b2")),
     ], ids=["desk", "mid", "reference"])
     def test_honest_canary_sessions_pinned(self, n_pulses, pinned):
         res = run_protocol2(replace(REFERENCE, n_pulses=n_pulses), seed=20260819)
@@ -900,17 +937,20 @@ class TestAdversaries:
         assert res.refuel_reason == "key-mismatch"
         assert_pools_mirrored(res)
 
-    @pytest.mark.parametrize("seed_len", [0, 64, 129])
+    @pytest.mark.parametrize("seed_len", [lambda n_key: 0, lambda n_key: n_key - 2,
+                                          lambda n_key: n_key], ids=["0", "n_key-2", "n_key"])
     def test_pa_seed_of_wrong_length_refuses_refuel(self, seed_len):
-        # the seed travels unauthenticated; an emptied seed must not leave
-        # both pools holding an uncompressed prefix of the sifted key
+        # the seed travels unauthenticated and is one bit shorter than the
+        # key; an emptied seed must not leave both pools holding an
+        # uncompressed prefix of the sifted key, and a seed a bit short or
+        # long is refused at Bob's receive path
         def tamper(msg):
             if msg.kind is MsgKind.PA_SEED:
-                return WireMessage(msg.kind, BitString.zeros(seed_len))
+                return WireMessage(msg.kind, BitString.zeros(seed_len(len(msg.payload) + 1)))
             return None
 
         res = run_protocol2(SMALL, seed=12, adversary=AdversaryScript(tamper=tamper))
-        assert res.identified is True
+        assert res.identified is True and res.n_key > 2
         assert res.refueled is False and res.distilled is None
         assert res.refuel_reason == "pa-seed-structure"
         assert_pools_mirrored(res)
