@@ -1,4 +1,4 @@
-"""Shared domain types: bit strings, the secret pool with a monotone
+"""Shared domain types: packed bit strings, the secret pool with a monotone
 consumption pointer that both identification protocols draw from, and
 the seedable randomness contract used by every simulation in the
 package.
@@ -56,15 +56,15 @@ def strict_ceil(x: float) -> int:
 
 
 class BitString:
-    """Immutable bit sequence with an exact length.
-
-    Bits are held as a read-only numpy uint8 array of 0/1 values, one bit
-    per element.  Serialized forms use big-endian bit order within bytes.
-    The text form is ``"<len>:<hex>"`` (decimal length prefix so that
+    """Immutable bit sequence with an exact length, held packed: eight
+    bits a byte, big-endian within it, pad bits zero.  to_bytes and
+    from_bytes copy bytes, ==, xor and slices work on the bytes, and
+    ``.bits`` unpacks to a read-only uint8 array of 0/1 values.  The
+    text form is ``"<len>:<hex>"`` (decimal length prefix so that
     lengths that are not a multiple of 8 round-trip).
     """
 
-    __slots__ = ("_bits",)
+    __slots__ = ("_data", "_n")
 
     def __init__(self, bits=()):
         arr = np.asarray(bits, dtype=np.uint8)
@@ -72,9 +72,15 @@ class BitString:
             raise ValueError("bits must be one-dimensional")
         if arr.size and int(arr.max(initial=0)) > 1:
             raise ValueError("bit values must be 0 or 1")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._bits = arr
+        self._data, self._n = np.packbits(arr).tobytes(), arr.size
+
+    @classmethod
+    def _from_int(cls, value: int, n: int) -> "BitString":
+        """The n bits of value below 2**n, the first bit most significant."""
+        return cls.from_bytes((value << (-n % 8)).to_bytes((n + 7) // 8, "big"), n)
+
+    def _int(self) -> int:
+        return int.from_bytes(self._data, "big") >> (-self._n % 8)
 
     # -- constructors ------------------------------------------------
 
@@ -82,15 +88,18 @@ class BitString:
     def zeros(cls, n: int) -> "BitString":
         if n < 0:
             raise ValueError("length must be non-negative")
-        return cls(np.zeros(n, dtype=np.uint8))
+        return cls._from_int(0, n)
 
     @classmethod
     def from_bytes(cls, data: bytes, n_bits: int) -> "BitString":
-        """Unpack n_bits from data, big-endian bit order within bytes."""
+        """The first n_bits of data, big-endian bit order within bytes."""
         if n_bits < 0 or n_bits > 8 * len(data):
             raise ValueError("bit length does not fit the byte payload")
-        arr = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n_bits)
-        return cls(arr)
+        out = cls.__new__(cls)
+        out._data, out._n = bytes(data[: (n_bits + 7) // 8]), n_bits
+        if n_bits % 8:  # the pad bits read as zero
+            out._data = out._data[:-1] + bytes([out._data[-1] & 0xFF00 >> n_bits % 8])
+        return out
 
     @classmethod
     def from_text(cls, text: str) -> "BitString":
@@ -111,31 +120,36 @@ class BitString:
 
     @property
     def bits(self) -> np.ndarray:
-        """Read-only uint8 view of the bits."""
-        return self._bits
+        """The bits unpacked to a new read-only uint8 array."""
+        arr = np.unpackbits(np.frombuffer(self._data, np.uint8), count=self._n)
+        arr.flags.writeable = False
+        return arr
 
     def __len__(self) -> int:
-        return int(self._bits.size)
+        return self._n
 
     def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return BitString(self._bits[idx])
-        return int(self._bits[idx])
+        i = range(self._n)[idx]
+        if isinstance(i, int):
+            return self._data[i >> 3] >> (~i & 7) & 1
+        if i.step != 1:
+            return BitString(self.bits[idx])
+        n, stop = len(i), i.start + len(i)
+        part = int.from_bytes(self._data[i.start >> 3 : (stop + 7) >> 3], "big")
+        return BitString._from_int(part >> (-stop % 8) & (1 << n) - 1, n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
             return NotImplemented
-        return self._bits.size == other._bits.size and bool(
-            np.array_equal(self._bits, other._bits)
-        )
+        return self._n == other._n and self._data == other._data
 
     def __hash__(self):
-        return hash((self._bits.size, self.to_bytes()))
+        return hash((self._n, self._data))
 
     def __add__(self, other: "BitString") -> "BitString":
         if not isinstance(other, BitString):
             return NotImplemented
-        return BitString(np.concatenate([self._bits, other._bits]))
+        return BitString._from_int(self._int() << other._n | other._int(), self._n + other._n)
 
     def __repr__(self) -> str:
         if len(self) <= 32:
@@ -145,38 +159,35 @@ class BitString:
     # -- bit operations ----------------------------------------------
 
     def count_ones(self) -> int:
-        return int(self._bits.sum())
+        return int.from_bytes(self._data, "big").bit_count()
 
     def xor(self, other: "BitString") -> "BitString":
         if len(self) != len(other):
-            raise LengthMismatch(f"xor lengths {len(self)} != {len(other)}")
-        return BitString(self._bits ^ other._bits)
+            raise LengthMismatch(f"lengths {len(self)} != {len(other)}")
+        return BitString._from_int(self._int() ^ other._int(), self._n)
 
     def hamming(self, other: "BitString") -> int:
-        if len(self) != len(other):
-            raise LengthMismatch(f"hamming lengths {len(self)} != {len(other)}")
-        return int(np.count_nonzero(self._bits != other._bits))
+        return self.xor(other).count_ones()
 
     def flipped(self, index: int) -> "BitString":
         """Copy with the bit at index inverted."""
-        arr = self._bits.copy()
-        arr[index] ^= 1
-        return BitString(arr)
+        i = range(self._n)[index]
+        return BitString._from_int(self._int() ^ 1 << (self._n - 1 - i), self._n)
 
     # -- serialization -----------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Pack to bytes, big-endian bit order, zero-padded to a byte."""
-        return np.packbits(self._bits).tobytes()
+        """The packed bytes, big-endian bit order, zero-padded to a byte."""
+        return self._data
 
     def hex(self) -> str:
-        return self.to_bytes().hex()
+        return self._data.hex()
 
     def to_text(self) -> str:
         return f"{len(self)}:{self.hex()}"
 
     def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self._bits)
+        return (self.bits + ord("0")).tobytes().decode("ascii")
 
 
 class SecretPool:
@@ -184,11 +195,11 @@ class SecretPool:
 
     The pointer only moves forward, so no stretch of secret material can
     ever be handed out twice.  ``refuel`` appends freshly distilled bits
-    to the end of the store.
+    to the end of the store, which is one packed BitString.
     """
 
     def __init__(self, store: BitString):
-        self._store = np.array(store.bits, dtype=np.uint8)
+        self._store = store
         self._pointer = 0
 
     @property
@@ -197,7 +208,7 @@ class SecretPool:
 
     @property
     def size(self) -> int:
-        return int(self._store.size)
+        return len(self._store)
 
     @property
     def remaining(self) -> int:
@@ -211,16 +222,14 @@ class SecretPool:
             raise PoolExhausted(
                 f"pool has {self.remaining} unused bits, {n} requested"
             )
-        out = BitString(self._store[self._pointer : self._pointer + n])
+        out = self._store[self._pointer : self._pointer + n]
         self._pointer += n
         return out
 
     def peek(self) -> np.ndarray:
-        """Read-only view of the unused bits; the pointer does not move,
+        """The unused bits unpacked, read-only; the pointer does not move,
         so a caller that acts on them must consume them."""
-        view = self._store[self._pointer :]
-        view.flags.writeable = False
-        return view
+        return self._store[self._pointer :].bits
 
     def advance_to(self, pointer: int) -> None:
         """Move the pointer forward to an absolute position (never back)."""
@@ -236,7 +245,7 @@ class SecretPool:
 
     def refuel(self, bits: BitString) -> None:
         """Append freshly distilled secret bits to the store."""
-        self._store = np.concatenate([self._store, bits.bits])
+        self._store = self._store + bits
 
     def __repr__(self) -> str:
         return f"SecretPool(size={self.size}, pointer={self._pointer})"
@@ -295,25 +304,27 @@ def counter_hash(key: int, counters) -> np.ndarray:
     return z
 
 
-def shuffle_rank(key: int, n: int, positions) -> np.ndarray:
+def shuffle_rank(key, n: int, positions) -> np.ndarray:
     """Rank of each position under the key's permutation of [0, n):
     Black & Rogaway's (2002) generalized Feistel cipher on Z_a x Z_b,
     a = isqrt(n - 1) + 1, b = ceil(n / a), x as (x mod a, x // a).  Round
     r < 8 adds counter_hash(key, r * 2**40 + other half) to one half mod
     its size; a rank of n or more (a * b - n < a) walks on until below n.
-    Four rounds left cells 5.5 sigma off uniform at n = 5 over 7,000 keys."""
+    Four rounds left cells 5.5 sigma off uniform at n = 5 over 7,000 keys.
+    An array of keys broadcast against positions ranks each under its own."""
     a = math.isqrt(max(n - 1, 0)) + 1
     sizes = (np.uint64(a), np.uint64(-(-n // a)))
-    x = np.array(positions, dtype=np.uint64)
+    x, keys = np.broadcast_arrays(np.array(positions, np.uint64), np.array(key, np.uint64))
+    shape, x, keys = x.shape, x.ravel().copy(), keys.ravel()
     walk = np.arange(x.size)
     while walk.size:
-        halves = [x[walk] % sizes[0], x[walk] // sizes[0]]
+        halves, k = [x[walk] % sizes[0], x[walk] // sizes[0]], keys[walk]
         for r in range(8):
-            h = counter_hash(key, np.uint64(r << 40) | halves[~r & 1])
+            h = counter_hash(k, np.uint64(r << 40) | halves[~r & 1])
             halves[r & 1] = (halves[r & 1] + h % sizes[r & 1]) % sizes[r & 1]
         x[walk] = halves[0] + sizes[0] * halves[1]
         walk = walk[x[walk] >= n]
-    return x.view(np.int64)
+    return x.reshape(shape).view(np.int64)
 
 
 # -- fixed-width integer packing ------------------------------------

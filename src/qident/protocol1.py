@@ -97,8 +97,8 @@ def _transmit(
     """Binary symmetric channel: each bit flips independently at eps."""
     if eps <= 0.0:
         return bits
-    noise = (rng.random(len(bits)) < eps).astype(np.uint8)
-    return BitString(bits.bits ^ noise)
+    noise = np.packbits(rng.random(len(bits)) < eps).tobytes()
+    return bits.xor(BitString.from_bytes(noise, len(bits)))
 
 
 IMPOSTORS = ("initiator", "responder")  # the sides an impostor may take

@@ -10,8 +10,9 @@ Message flow (kinds in parentheses; B is the photon receiver):
     B -> A  POSITIONS (1)        2s detected positions, authenticated
     A -> B  BASES_AND_BITS (2)   A's basis and bit at each, authenticated
     B -> A  FINAL_VERDICT (3)    accept flag + mismatch count k, authenticated
-    B -> A  BASIS_ANNOUNCE (5)   B's detection map over all n pulses, then
-                                 his basis at each detection
+    B -> A  BASIS_ANNOUNCE (5)   detection count, the gaps between B's
+                                 detected positions as bytes, then his
+                                 basis at each detection
     A -> B  COINCIDENCE (6)      basis-match mask over the detections
             (interactive parity error correction, in process)
     A -> B  PA_SEED (7)          diagonal of the final compression hash, one
@@ -47,7 +48,10 @@ error-correction leakage.
 
 Wire format: 1 byte kind, 4-byte big-endian payload bit count, payload
 zero-padded to whole bytes, then an 8-byte big-endian tag below 2**61 - 1
-on kinds 1-3.
+on kinds 1-3.  BASIS_ANNOUNCE is a 32-bit detection count m, a gap per
+detection (position less the one before, the first from -1; a gap of
+255q + r is q escape bytes of 255, then r) and the m bases: O(m) to build
+and parse, and capped by the 32-bit bit count at ~4.7e8 detections.
 """
 
 from __future__ import annotations
@@ -247,23 +251,37 @@ def _parse_verdict(payload: BitString) -> tuple[bool, int]:
     return bool(payload[0]), int(unpack_uints(payload.bits[16:], 16)[0])
 
 
-def _build_announce(n_pulses: int, detected: np.ndarray, bases: np.ndarray) -> BitString:
-    """Detection map over n_pulses pulses with 1 at each sorted detected
-    position, then the basis at each detection."""
-    bits = np.zeros(n_pulses + detected.size, dtype=np.uint8)
-    bits[detected] = 1
-    bits[n_pulses:] = bases
-    return BitString(bits)
+def _build_announce(detected: np.ndarray, bases: np.ndarray) -> BitString:
+    """The BASIS_ANNOUNCE payload (see the module docstring) of sorted
+    detected positions; its bases start on a byte."""
+    gaps = np.diff(detected, prepend=-1)
+    big = np.flatnonzero(gaps >= 255)
+    q, gaps[big] = np.divmod(gaps[big], 255)
+    gaps = np.insert(gaps.astype(np.uint8), np.repeat(big, q), 255)
+    data = detected.size.to_bytes(4, "big") + gaps.tobytes() + np.packbits(bases).tobytes()
+    return BitString.from_bytes(data, 32 + 8 * gaps.size + detected.size)
 
 
 def _parse_announce(payload: BitString, n_pulses: int) -> tuple[np.ndarray, np.ndarray]:
-    """(detected positions, bases there) from a detection map over
-    n_pulses pulses followed by one basis bit per detection."""
-    bits = payload.bits
-    pos = np.flatnonzero(bits[:n_pulses])
-    if bits.size != n_pulses + pos.size:
+    """(detected positions, bases there) from a BASIS_ANNOUNCE payload, in
+    O(m).  A count that disagrees with the frame length or the gaps, a
+    final escape or positions not strictly increasing below n_pulses
+    raise WireFormatError."""
+    data = payload.to_bytes()
+    m = int.from_bytes(data[:4], "big") if len(payload) >= 32 else -1
+    n_gap, odd = divmod(len(payload) - 32 - m, 8)
+    if m < 0 or odd or n_gap < m:
         raise WireFormatError("announcement length disagrees with its detection count")
-    return pos, bits[n_pulses:]
+    gaps = np.frombuffer(data, np.uint8, n_gap, 4)
+    ends = gaps != 255
+    if np.count_nonzero(ends) != m or n_gap and not ends[-1]:
+        raise WireFormatError("announced gaps disagree with the count or end in an escape")
+    pos = gaps.astype(np.int64)
+    pos[:1] -= 1  # the first gap is measured from -1
+    pos = np.cumsum(pos, out=pos)[ends if n_gap > m else slice(None)]  # non-decreasing
+    if m and (pos[0] < 0 or pos[-1] >= n_pulses or np.any(pos[1:] == pos[:-1])):
+        raise WireFormatError("announced positions not strictly increasing in range")
+    return pos, np.unpackbits(np.frombuffer(data, np.uint8, offset=4 + n_gap), count=m)
 
 
 # -- interactive error correction --------------------------------------
@@ -301,13 +319,17 @@ def _cascade(diff: np.ndarray, block: int, rng) -> int:
     shuffle_rank(key_p, n, i), key_p drawn from rng, but only for its
     current errors, kept as sorted ranks and as maps between position and
     rank: a bisection ends on an odd one-rank segment, an error, and a
-    repair clears one, so no other bit's rank is ever asked for."""
+    repair clears one, so no other bit's rank is ever asked for; pass 0's
+    errors, ranked under all four keys at once, hold every later pass's."""
     n = diff.size
+    keys = [int(rng.integers(1 << 63)) for _ in range(EC_PASSES)]
+    first = np.flatnonzero(diff)
+    all_ranks = shuffle_rank(np.array(keys, np.uint64)[:, None], n, first)
     passes, leak = [], 0
     for p in range(EC_PASSES):
         size = block << p
-        errs = np.flatnonzero(diff)
-        ranks = shuffle_rank(int(rng.integers(1 << 63)), n, errs)
+        still = diff[first] == 1
+        errs, ranks = first[still], all_ranks[p][still]
         parity = np.bincount(ranks // size, minlength=-(-n // size)) & 1
         leak += parity.size
         errs, ranks = errs.tolist(), ranks.tolist()
@@ -404,6 +426,7 @@ def error_correct(
 # -- privacy amplification ---------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString:
     """Compress bits to out_len with the modified Toeplitz matrix [I | T']
     over GF(2), universal by Hayashi & Tsurumaru (2016): x[:out_len] ^
@@ -414,7 +437,9 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     circular, of length L >= n_in - 1: linear terms at indices >= L wrap
     onto indices <= m - 2, below every kept one.  ArithmeticError is
     raised, rather than a bit guessed, if a float64 count lies 0.25 or
-    more from the nearest integer."""
+    more from the nearest integer.  The last output is cached on the
+    packed input, out_len and packed seed, so a party whose corrected key
+    and seed equal the other's reuses its output."""
     n_in = len(bits)
     if len(seed) != n_in - 1:
         raise ValueError(f"a {n_in}-bit input needs a {n_in - 1}-bit seed, got {len(seed)}")
@@ -424,21 +449,13 @@ def privacy_amplify(bits: BitString, out_len: int, seed: BitString) -> BitString
     if m == 0 or out_len == 0:
         return bits[:out_len]
     n_fft = sfft.next_fast_len(n_in - 1, real=True)
-    spectrum = _seed_spectrum(seed.to_bytes(), n_fft) * sfft.rfft(bits.bits[out_len:], n_fft)
+    x = bits.bits
+    spectrum = sfft.rfft(seed.bits, n_fft) * sfft.rfft(x[out_len:], n_fft)
     conv = sfft.irfft(spectrum, n_fft)[m - 1 : n_in - 1]
     counts = np.rint(conv)
     if np.max(np.abs(conv - counts)) >= 0.25:
         raise ArithmeticError("FFT convolution too inexact to round to counts")
-    return BitString(bits.bits[:out_len] ^ (counts.astype(np.int64) & 1).astype(np.uint8))
-
-
-@functools.lru_cache(maxsize=1)
-def _seed_spectrum(seed: bytes, n_fft: int) -> np.ndarray:
-    """Read-only rfft of the packed seed's bits, zero-padded to n_fft: a
-    party hashing with the seed last used reuses its transform."""
-    spectrum = sfft.rfft(np.unpackbits(np.frombuffer(seed, np.uint8)), n_fft)
-    spectrum.flags.writeable = False
-    return spectrum
+    return BitString(x[:out_len] ^ (counts.astype(np.int64) & 1).astype(np.uint8))
 
 
 def compute_out_len(params: BudgetParams, eps_est: float, leak: int) -> int:
@@ -653,9 +670,9 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     if not (accept and accept_at_alice):
         raise _Stop("verdict-reject")
 
-    # B -> A: detection map and bases (plumbing, unauthenticated)
+    # B -> A: detected positions and bases (plumbing, unauthenticated)
     ann_pos, ann_bases = _send(
-        res, tamper, WireMessage(MsgKind.BASIS_ANNOUNCE, _build_announce(n, det, run.bob_bases)),
+        res, tamper, WireMessage(MsgKind.BASIS_ANNOUNCE, _build_announce(det, run.bob_bases)),
         "announce", None, lambda p: _parse_announce(p, n))
 
     # A re-applies the acceptance test with her own view of s_real; both

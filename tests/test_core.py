@@ -100,6 +100,60 @@ class TestBitString:
         b = BitString.from_bytes(data, n)
         assert len(b) == n
 
+    @pytest.mark.parametrize("n", [1, 3, 7, 9, 15])
+    def test_from_bytes_masks_nonzero_pad_bits(self, n):
+        # the same n bits under any pad compare and hash alike, and
+        # serialize with the pad zeroed
+        canonical = BitString.from01("1" * n)
+        for last in (0xFF, (0xFF00 >> n % 8) & 0xFF | 1):
+            data = b"\xff" * (n // 8) + bytes([last])
+            b = BitString.from_bytes(data, n)
+            assert b == canonical and hash(b) == hash(canonical)
+            assert b.to_bytes() == canonical.to_bytes()
+            assert b.to_bytes() == np.packbits(np.ones(n, np.uint8)).tobytes()
+            assert b.count_ones() == n
+
+    def test_slices_agree_with_the_unpacked_bits(self, rng):
+        # every bound pair of a 21-bit string, most not on a byte, with
+        # negative and out-of-range bounds and steps
+        b = random_bitstring(21, rng)
+        oracle = b.bits
+        bounds = [None, *range(-23, 24)]
+        for start in bounds:
+            for stop in bounds:
+                for step in (None, 1, 2, -1, -3):
+                    got = b[start:stop:step]
+                    assert got.bits.tolist() == oracle[start:stop:step].tolist()
+                    assert got == BitString(oracle[start:stop:step])
+        assert [b[i] for i in range(-21, 21)] == oracle[np.r_[-21:21]].tolist()
+        for i in (21, -22):
+            with pytest.raises(IndexError):
+                b[i]
+
+    def test_bit_operations_agree_with_the_unpacked_bits(self, rng):
+        for n in (0, 1, 5, 8, 13, 64, 65, 1000):
+            a, b = random_bitstring(n, rng), random_bitstring(n, rng)
+            assert a.xor(b).bits.tolist() == (a.bits ^ b.bits).tolist()
+            assert a.hamming(b) == int(np.count_nonzero(a.bits != b.bits))
+            assert a.count_ones() == int(a.bits.sum())
+            assert (a + b).bits.tolist() == a.bits.tolist() + b.bits.tolist()
+            assert a.to01() == "".join(map(str, a.bits.tolist()))
+            for i in range(-n, n):
+                flipped = a.bits.copy()
+                flipped[i] ^= 1
+                assert a.flipped(i).bits.tolist() == flipped.tolist()
+            with pytest.raises(IndexError):
+                a.flipped(n)
+
+    def test_bits_is_a_read_only_unpack(self, rng):
+        b = random_bitstring(20, rng)
+        bits = b.bits
+        with pytest.raises(ValueError):
+            bits[3] ^= 1
+        copy = bits.copy()
+        copy[3] ^= 1
+        assert b.bits.tolist() == bits.tolist() != copy.tolist()
+
 
 class TestSecretPool:
     def test_consume_advances(self, rng):
@@ -139,6 +193,17 @@ class TestSecretPool:
         pool.refuel(extra)
         assert pool.remaining == 5
         assert pool.consume(5) == extra
+
+    def test_draws_across_byte_bounds_match_the_store(self, rng):
+        store, extra = random_bitstring(61, rng), random_bitstring(45, rng)
+        pool = SecretPool(store)
+        pool.refuel(extra)
+        whole, at = (store + extra).bits, 0
+        for n in (3, 0, 13, 7, 20, 1, 17, 45):
+            assert pool.peek().tolist() == whole[at:].tolist()
+            assert pool.consume(n).bits.tolist() == whole[at : at + n].tolist()
+            at += n
+        assert pool.remaining == 0 and pool.peek().size == 0
 
 
 def test_sync_pools_takes_maximum(rng):
@@ -206,6 +271,15 @@ class TestShuffleRank:
         for key in self.KEYS:
             ranks = shuffle_rank(key, n, positions)
             assert ranks.tolist() == [int(shuffle_rank(key, n, [i])[0]) for i in positions]
+
+    def test_array_of_keys_equals_one_call_per_key(self, rng):
+        # the shape Cascade asks for: every key against every position
+        n = 4_500
+        positions = rng.choice(n, 300, replace=False)
+        ranks = shuffle_rank(np.array(self.KEYS, np.uint64)[:, None], n, positions)
+        assert ranks.shape == (len(self.KEYS), 300)
+        for key, row in zip(self.KEYS, ranks):
+            assert np.array_equal(row, shuffle_rank(key, n, positions))
 
     @pytest.mark.parametrize("n", [5, 7])
     def test_each_position_lands_uniformly(self, n):

@@ -247,22 +247,108 @@ class TestSubsetSelection:
             assert a.bit_generator.state == b.bit_generator.state
 
 
+def announce_frame(m, gap_bytes, bases):
+    """A BASIS_ANNOUNCE payload from its raw fields: count, gap bytes, bases."""
+    data = m.to_bytes(4, "big") + bytes(gap_bytes) + np.packbits(bases).tobytes()
+    return BitString.from_bytes(data, 32 + 8 * len(gap_bytes) + len(bases))
+
+
+def escapes(positions):
+    return int((np.diff(positions, prepend=-1) // 255).sum())
+
+
 class TestAnnounceEncoding:
     def test_map_then_bases_round_trip(self, rng):
+        # the detected set, now as gaps, then the bases, at desk scale
         detected = rng.random(100_000) < 0.0915
-        bases = rng.integers(0, 2, int(detected.sum()), dtype=np.uint8)
-        payload = _build_announce(100_000, np.flatnonzero(detected), bases)
-        assert payload.bits.tolist() == detected.tolist() + bases.tolist()
+        pos = np.flatnonzero(detected)
+        bases = rng.integers(0, 2, pos.size, dtype=np.uint8)
+        payload = _build_announce(pos, bases)
+        assert len(payload) == 32 + 8 * (pos.size + escapes(pos)) + pos.size
         got_pos, got_bases = _parse_announce(payload, 100_000)
-        assert np.array_equal(got_pos, np.flatnonzero(detected))
+        assert np.array_equal(got_pos, pos)
         assert np.array_equal(got_bases, bases)
 
+    def test_gap_bytes_at_the_escape_edges(self):
+        # a detection at pulse 0 (gap 1 from -1), gaps of 1, 254, 255, 256,
+        # 510 and 65,536 = 255 * 257 + 1, then one at pulse n - 1, 999 on
+        gaps = [1, 1, 254, 255, 256, 510, 65_536]
+        pos = np.cumsum(gaps) - 1
+        n = int(pos[-1]) + 1_000
+        pos = np.append(pos, n - 1)
+        bases = np.arange(pos.size, dtype=np.uint8) % 2
+        payload = _build_announce(pos, bases)
+        want = [1, 1, 254, 255, 0, 255, 1, 255, 255, 0] + [255] * 257 + [1, 255, 255, 255, 234]
+        assert payload.to_bytes()[4 : 4 + len(want)] == bytes(want)
+        assert payload == announce_frame(pos.size, want, bases)
+        got_pos, got_bases = _parse_announce(payload, n)
+        assert got_pos.tolist() == pos.tolist() and got_bases.tolist() == bases.tolist()
+        with pytest.raises(WireFormatError):
+            _parse_announce(payload, n - 1)  # pulse n - 1 is out of range there
+
+    def test_empty_set(self):
+        payload = _build_announce(np.array([], np.int64), np.array([], np.uint8))
+        assert payload == BitString.zeros(32)
+        got_pos, got_bases = _parse_announce(payload, 10)
+        assert got_pos.size == got_bases.size == 0
+
     def test_malformed_payloads_raise_wire_format_error(self):
-        payload = _build_announce(50, np.array([3, 9, 40]), np.array([1, 0, 1]))
-        assert len(payload) == 53
-        for bad in (payload[:-1], payload + BitString.zeros(1), payload.flipped(20)):
+        payload = _build_announce(np.array([3, 9, 40]), np.array([1, 0, 1]))
+        assert len(payload) == 32 + 8 * 3 + 3
+        assert payload == announce_frame(3, [4, 6, 31], [1, 0, 1])
+        bad = {
+            "truncated": payload[:-1],
+            "extended": payload + BitString.zeros(1),
+            "count-bit-flipped": payload.flipped(31),
+            "shorter-than-count": payload[:31],
+            "count-above-the-frame": announce_frame(4, [4, 6, 31], [1, 0, 1, 1]),
+            "count-below-the-gaps": announce_frame(2, [4, 6, 31], [1, 0]),
+            "count-above-the-gaps": announce_frame(4, [4, 255, 6, 31], [1, 0, 1, 1]),
+            "ends-in-an-escape": announce_frame(3, [4, 6, 31, 255], [1, 0, 1]),
+            "repeated-position": announce_frame(3, [4, 0, 31], [1, 0, 1]),
+            "first-gap-zero": announce_frame(3, [0, 6, 31], [1, 0, 1]),
+            "position-at-n": announce_frame(3, [4, 6, 41], [1, 0, 1]),
+        }
+        assert _parse_announce(announce_frame(3, [4, 6, 40], [1, 0, 1]), 50)[0].tolist() == [
+            3, 9, 49]
+        for name, frame in bad.items():
             with pytest.raises(WireFormatError):
-                _parse_announce(bad, 50)
+                _parse_announce(frame, 50)
+
+    @given(data=st.data())
+    def test_edited_frames_fail_closed(self, data):
+        # a valid frame with gaps on both sides of every escape edge,
+        # then byte flips, a truncation or an insertion: every edit either
+        # raises WireFormatError or parses to strictly increasing positions
+        # in [0, n) with one basis each
+        n = 3_000
+        gaps = data.draw(st.lists(st.one_of(st.integers(1, 3), st.integers(250, 600)),
+                                  max_size=12))
+        pos = np.cumsum(np.array(gaps, np.int64)) - 1
+        pos = pos[pos < n]
+        bases = np.array(data.draw(st.lists(st.integers(0, 1), min_size=pos.size,
+                                            max_size=pos.size)), np.uint8)
+        frame = bytearray(_build_announce(pos, bases).to_bytes())
+        n_bits = 8 * len(frame) - (-(32 + 8 * (pos.size + escapes(pos)) + pos.size) % 8)
+        edit = data.draw(st.sampled_from(["flip", "truncate", "insert"]))
+        if edit == "flip":
+            for _ in range(data.draw(st.integers(1, 3))):
+                i = data.draw(st.integers(0, len(frame) - 1))
+                frame[i] ^= data.draw(st.integers(1, 255))
+        elif edit == "truncate":
+            n_bits = data.draw(st.integers(0, n_bits - 1))
+        else:
+            i = data.draw(st.integers(0, len(frame)))
+            extra = data.draw(st.binary(min_size=1, max_size=4))
+            frame[i:i] = extra
+            n_bits += 8 * len(extra)
+        try:
+            got_pos, got_bases = _parse_announce(BitString.from_bytes(bytes(frame), n_bits), n)
+        except WireFormatError:
+            return
+        assert got_pos.size == got_bases.size
+        assert np.all(np.diff(got_pos) > 0) and np.all((got_pos >= 0) & (got_pos < n))
+        assert set(got_bases.tolist()) <= {0, 1}
 
 
 class TestErrorCorrection:
@@ -590,19 +676,24 @@ class TestPrivacyAmplification:
         assert privacy_amplify(bits, 500, s1) != privacy_amplify(bits, 500, s2)
 
     def test_rewritten_seed_misses_the_cached_transform(self, rng):
-        # Bob's call with Alice's seed reuses her transform, read-only; a
-        # seed one bit off is transformed afresh and hashes differently
-        alice, bob = random_bitstring(1000, rng), random_bitstring(1000, rng)
-        seed = random_bitstring(999, rng)
-        privacy_amplify(alice, 400, seed)
-        hits = protocol2._seed_spectrum.cache_info().hits
-        honest = privacy_amplify(bob, 400, seed)
-        assert protocol2._seed_spectrum.cache_info().hits == hits + 1
-        n_fft = sfft.next_fast_len(999, real=True)
-        assert not protocol2._seed_spectrum(seed.to_bytes(), n_fft).flags.writeable
+        # Bob's call with a corrected key and seed equal to Alice's (equal
+        # copies, not her objects) reuses her product; a key or a seed one
+        # bit off is hashed afresh, and differently
+        alice, seed = random_bitstring(1000, rng), random_bitstring(999, rng)
+        bob, seed_at_bob = BitString(alice.bits), BitString.from_bytes(seed.to_bytes(), 999)
+        info = protocol2.privacy_amplify.cache_info
+        first = privacy_amplify(alice, 400, seed)
+        hits, misses = info().hits, info().misses
+        honest = privacy_amplify(bob, 400, seed_at_bob)
+        assert honest is first and (info().hits, info().misses) == (hits + 1, misses)
+        assert np.array_equal(honest.bits, dense_pa(alice.bits, 400, seed.bits))
         rewritten = privacy_amplify(bob, 400, seed.flipped(500))
+        assert info().misses == misses + 1
         assert rewritten != honest
         assert np.array_equal(rewritten.bits, dense_pa(bob.bits, 400, seed.flipped(500).bits))
+        other_key = privacy_amplify(bob.flipped(999), 400, seed)
+        assert info().misses == misses + 2
+        assert np.array_equal(other_key.bits, dense_pa(bob.flipped(999).bits, 400, seed.bits))
 
     def test_output_is_balanced(self, rng):
         out = privacy_amplify(random_bitstring(2000, rng), 1000, random_bitstring(1999, rng))
@@ -884,23 +975,23 @@ class TestAdversaries:
 
     @pytest.mark.parametrize("seed", [10, 11])
     def test_announce_naming_undetected_pulses_spoils_refuel_not_identity(self, seed):
-        # the map keeps its detection count, so the frame parses, but its
-        # first five detection bits move onto the last five undetected
-        # pulses, pulse n - 1 among them.  Alice reads her own values at
-        # pulses Bob never detected, and each announced basis now sits
-        # five detections away from its pulse.
+        # the announcement keeps its detection count, so the frame
+        # parses, but its first five detections move onto the last five
+        # undetected pulses, pulse n - 1 among them, with the bases left in
+        # order.  Alice reads her own values at pulses Bob never detected,
+        # and each announced basis now sits five detections away from its
+        # pulse.
         n = SMALL.n_pulses
         moved = []
 
         def tamper(msg):
             if msg.kind is not MsgKind.BASIS_ANNOUNCE:
                 return None
-            bits = msg.payload.bits.copy()
-            undetected = np.flatnonzero(bits[:n] == 0)[-5:]
+            pos, bases = _parse_announce(msg.payload, n)
+            undetected = np.setdiff1d(np.arange(n), pos)[-5:]
             moved.append(undetected)
-            bits[np.flatnonzero(bits[:n])[:5]] = 0
-            bits[undetected] = 1
-            return WireMessage(msg.kind, BitString(bits))
+            return WireMessage(msg.kind, _build_announce(
+                np.sort(np.concatenate([pos[5:], undetected])), bases))
 
         res = run_protocol2(SMALL, seed=seed, adversary=AdversaryScript(tamper=tamper))
         assert moved[0][-1] == n - 1
@@ -984,9 +1075,10 @@ class TestAdversaries:
 
 
 def sample_then(on_kind, rewrite):
-    """Tamper hook that reads the sample positions off POSITIONS, then
-    rewrites the payload of each on_kind frame as rewrite(payload bits,
-    sample positions, announced positions)."""
+    """Tamper hook that reads the sample positions off POSITIONS and the
+    announced positions and bases off BASIS_ANNOUNCE, then rewrites the
+    payload of each on_kind frame as rewrite(payload bits, sample
+    positions, (announced positions, bases))."""
     seen = {}
 
     def tamper(msg):
@@ -994,7 +1086,7 @@ def sample_then(on_kind, rewrite):
         if msg.kind is MsgKind.POSITIONS:
             seen["sample"] = unpack_uints(bits, position_bits(SMALL.n_pulses))
         if msg.kind is MsgKind.BASIS_ANNOUNCE:
-            seen["announced"] = np.flatnonzero(bits[: SMALL.n_pulses])
+            seen["announced"] = _parse_announce(msg.payload, SMALL.n_pulses)
         if msg.kind is on_kind:
             return WireMessage(msg.kind, BitString(
                 rewrite(bits.copy(), seen["sample"], seen.get("announced"))))
@@ -1015,14 +1107,13 @@ class TestFailClosed:
         assert_pools_mirrored(res)
 
     def test_announce_hiding_the_sample_fails_alice_recheck(self):
-        # the map drops the sample positions, and their bases with them,
-        # so it stays consistent, yet Alice finds none of her sample in it
-        n = SMALL.n_pulses
-
-        def hide(bits, sample, _):
-            pos = np.flatnonzero(bits[:n])
+        # the announcement drops the sample positions, and their bases
+        # with them, so it stays consistent, yet Alice finds none of her
+        # sample in it
+        def hide(bits, sample, announced):
+            pos, bases = announced
             keep = ~np.isin(pos, sample)
-            return _build_announce(n, pos[keep], bits[n:][keep]).bits
+            return _build_announce(pos[keep], bases[keep]).bits
 
         res = run_protocol2(SMALL, seed=10, adversary=AdversaryScript(
             tamper=sample_then(MsgKind.BASIS_ANNOUNCE, hide)))
@@ -1034,7 +1125,7 @@ class TestFailClosed:
         # outside the sample for unmatched ones: Bob's key is a coin toss
         # there, and error correction leaks more than the budget holds
         def swap(bits, sample, announced):
-            free = ~np.isin(announced, sample)
+            free = ~np.isin(announced[0], sample)
             ones = np.flatnonzero(free & (bits == 1))[:1000]
             zeros = np.flatnonzero(free & (bits == 0))[:1000]
             bits[ones], bits[zeros] = 0, 1
