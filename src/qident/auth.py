@@ -166,10 +166,10 @@ def decode_message(words, msg_len: int) -> BitString:
         values.append(v)
     if any(words[i:]):
         raise DecodeError("nonzero padding words")
-    bits = pack_uints(values, WORD_BITS).bits
-    if bits[msg_len:].any():
+    packed = pack_uints(values, WORD_BITS)
+    if packed[msg_len:].count_ones():
         raise DecodeError("nonzero padding bits")
-    return BitString(bits[:msg_len])
+    return packed[:msg_len]
 
 
 def _draw_words(supply: np.ndarray, n_words: int) -> tuple[tuple[int, ...], int]:

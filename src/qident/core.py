@@ -134,9 +134,8 @@ class BitString:
             return self._data[i >> 3] >> (~i & 7) & 1
         if i.step != 1:
             return BitString(self.bits[idx])
-        n, stop = len(i), i.start + len(i)
-        part = int.from_bytes(self._data[i.start >> 3 : (stop + 7) >> 3], "big")
-        return BitString._from_int(part >> (-stop % 8) & (1 << n) - 1, n)
+        part = int.from_bytes(self._data[i.start >> 3 : (i.stop + 7) >> 3], "big")
+        return BitString._from_int(part >> (-i.stop % 8) & (1 << len(i)) - 1, len(i))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BitString):
@@ -227,9 +226,11 @@ class SecretPool:
         return out
 
     def peek(self) -> np.ndarray:
-        """The unused bits unpacked, read-only; the pointer does not move,
-        so a caller that acts on them must consume them."""
-        return self._store[self._pointer :].bits
+        """The unused bits, unpacked from the bytes they cover; the pointer
+        does not move, so a caller that acts on them must consume them."""
+        p = self._pointer
+        covered = np.frombuffer(self._store.to_bytes(), np.uint8)[p >> 3 :]
+        return np.unpackbits(covered)[p & 7 : self.size - (p & ~7)]
 
     def advance_to(self, pointer: int) -> None:
         """Move the pointer forward to an absolute position (never back)."""
