@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auth import WORD_BITS
+from .auth import WORD_BITS, words_needed
 from .core import QidentError, strict_ceil
 
 __all__ = [
@@ -34,7 +34,9 @@ __all__ = [
     "guess_probability_from_info",
     "error_rate_upper_bound",
     "position_bits",
+    "message_bit_lengths",
     "min_initial_secret_bits",
+    "planned_key_consumption",
     "expected_sifted_len",
     "corrected_len",
     "DistilledTerms",
@@ -297,22 +299,35 @@ def position_bits(n_pulses):
     return int(width) if width.ndim == 0 else width
 
 
-def min_initial_secret_bits(n_pulses, s: int):
-    """Secret bits consumed by one session's three authenticated messages:
-    2s*(position_bits(N) + 2) + 32 + 3*61.
+def message_bit_lengths(n_pulses, s: int) -> tuple:
+    """Payload bit lengths of a session's three authenticated messages, in
+    message order: 2s*position_bits(N) sample positions, 4s bases and
+    bits, and a 32-bit verdict.  n_pulses may be an integer array, and
+    the first length then has its shape."""
+    return 2 * s * position_bits(n_pulses), 4 * s, 32
 
-    Each message costs key material roughly equal to its length plus one
-    61-bit tag; the three payloads are 2s*position_bits(N) position bits,
-    4s basis-and-value bits and a 32-bit verdict.  n_pulses may be an
-    integer array, and the result then has its shape.
-    """
+
+def min_initial_secret_bits(n_pulses, s: int):
+    """Secret bits consumed by one session's three authenticated messages
+    at minimum: their payload lengths plus one 61-bit tag each, which is
+    2s*(position_bits(N) + 2) + 32 + 3*61.  n_pulses may be an integer
+    array, and the result then has its shape."""
     n = np.asarray(n_pulses, dtype=np.int64)
     if np.any(n < 2):
         raise ValueError("n_pulses must be at least 2")
     if s < 0:
         raise ValueError("s must be non-negative")
-    bits = 2 * s * (position_bits(n) + 2) + 32 + 3 * WORD_BITS
+    bits = sum(message_bit_lengths(n, s)) + 3 * WORD_BITS
     return int(bits) if np.ndim(bits) == 0 else bits
+
+
+def planned_key_consumption(n_pulses: int, s: int) -> int:
+    """Pool bits the three authentication keys consume, barring the
+    ~2**-61 per-word rejection: word size times words_needed per message.
+    Slightly above min_initial_secret_bits, as each key covers whole
+    encoding words (sentinel and group padding), not bare payload plus
+    tag; run_protocol2 refuses to start on less."""
+    return sum(WORD_BITS * words_needed(n) for n in message_bit_lengths(n_pulses, s))
 
 
 def expected_sifted_len(params: BudgetParams) -> float:

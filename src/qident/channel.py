@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import BudgetParams
-from .core import counter_hash, make_rng, spawn_streams
+from .core import counter_hash, make_rng
 
 __all__ = [
     "EveStrategy",
@@ -184,8 +184,7 @@ def run_qkd(
     """
     if params.eps >= 0.5:
         raise ValueError(f"channel error rate eps={params.eps} must lie below 1/2")
-    rng = make_rng(seed)
-    rng_alice, rng_bob, rng_eve = spawn_streams(rng, 3)
+    rng_alice, rng_bob, rng_eve = make_rng(seed).spawn(3)
 
     alice_key = int(rng_alice.integers(1 << 63))
     detected = _detections(params.n_pulses, detection_probability(params), rng_bob)

@@ -152,11 +152,12 @@ def _say(*parts) -> None:
     print(*parts, file=sys.stderr)
 
 
-def _emit(args, cfg, header, rows) -> None:
+def _emit(args, cfg, rows) -> None:
+    """Write rows, one dict each, as CSV under the first row's keys."""
     canon = "".join(f"{k}={_fmt(v)}\n" for k, v in sorted(cfg.items()))
     digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()
-    lines = [f"# seed={args.seed} config_sha256={digest}", ",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [f"# seed={args.seed} config_sha256={digest}", ",".join(rows[0])]
+    lines += [",".join(_fmt(v) for v in row.values()) for row in rows]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -177,16 +178,16 @@ def cmd_simulate_qkd(args, cfg) -> int:
     rows = []
     for t in range(args.trials):
         run = run_qkd(params, root, eve)
-        rows.append((t, run.n_detected, run.n_sifted, run.error_count,
-                     run.error_rate, run.eve_information_bits()))
+        rows.append(dict(trial=t, detected=run.n_detected, sifted=run.n_sifted,
+                         errors=run.error_count, rate=run.error_rate,
+                         eve_known_bits=run.eve_information_bits()))
         _say(f"trial {t}: detected={run.n_detected} sifted={run.n_sifted} "
              f"errors={run.error_count} rate={run.error_rate:.5f}")
         if args.dump:
             with open(args.dump, "w", encoding="utf-8", newline="") as fh:
                 write_transcript_csv(run, fh)
             _say(f"per-pulse transcript written to {args.dump}")
-    _emit(args, cfg, ["trial", "detected", "sifted", "errors", "rate",
-                      "eve_known_bits"], rows)
+    _emit(args, cfg, rows)
     return 0
 
 
@@ -206,8 +207,7 @@ def cmd_protocol1(args, cfg) -> int:
         _say(f"{outcome.value}: {counts[outcome]}")
     _say(f"success rate {successes / args.trials:.4f} "
          f"(honest-case expectation {expected:.4f})")
-    _emit(args, cfg, ["outcome", "count"],
-          [(o.value, counts[o]) for o in IdentOutcome])
+    _emit(args, cfg, [dict(outcome=o.value, count=counts[o]) for o in IdentOutcome])
     return 0 if successes else 1
 
 
@@ -220,20 +220,19 @@ def cmd_protocol2(args, cfg) -> int:
     for t in range(args.trials):
         r = protocol2.run_protocol2(params, seed=root, adversary=adversary)
         identified += r.identified
-        rows.append((t, params.n_pulses, int(r.identified), r.aborted_at or "",
-                     int(r.refueled), r.refuel_reason or "", r.s_real, r.k,
-                     "" if r.eps_est is None else r.eps_est, r.n_sifted,
-                     r.n_key, r.leak, r.out_len, r.consumed_alice, r.gained,
-                     r.net))
+        rows.append(dict(
+            trial=t, n_pulses=params.n_pulses, identified=int(r.identified),
+            aborted_at=r.aborted_at or "", refueled=int(r.refueled),
+            refuel_reason=r.refuel_reason or "", s_real=r.s_real, k=r.k,
+            eps_est="" if r.eps_est is None else r.eps_est, sifted=r.n_sifted,
+            key_bits=r.n_key, leak=r.leak, out_len=r.out_len,
+            consumed=r.consumed_alice, gained=r.gained, net=r.net))
         _say(f"trial {t}: identified={r.identified} refueled={r.refueled} "
              f"s_real={r.s_real} k={r.k} out_len={r.out_len} "
              f"consumed={r.consumed_alice} net={r.net}"
              + (f" ({r.aborted_at or r.refuel_reason})"
                 if not (r.identified and r.refueled) else ""))
-    _emit(args, cfg, ["trial", "n_pulses", "identified", "aborted_at",
-                      "refueled", "refuel_reason", "s_real", "k", "eps_est",
-                      "sifted", "key_bits", "leak", "out_len", "consumed",
-                      "gained", "net"], rows)
+    _emit(args, cfg, rows)
     return 0 if identified else 1
 
 
@@ -259,18 +258,13 @@ def cmd_deception(args, cfg) -> int:
     for i in range(1, 61):
         eps = round(0.005 * i, 3)
         p_bar = 0.5 + (eps * (1.0 - eps)) ** 0.5
-        rows.append((
-            n_is,
-            eps,
-            budget.critical_guess_probability(eps),
-            budget.channel_mutual_info(eps),
-            budget.optimal_attack_info(eps),
-            budget.info_limit(eps),
-            budget.deception_probability_exact(
-                [min(p_bar, 1.0)] * n_is, budget.tolerance(n_is, eps)),
-        ))
-    _emit(args, cfg, ["n_is", "eps", "p_crit", "channel_info", "attack_info",
-                      "info_limit", "deception_exact"], rows)
+        rows.append(dict(
+            n_is=n_is, eps=eps, p_crit=budget.critical_guess_probability(eps),
+            channel_info=budget.channel_mutual_info(eps),
+            attack_info=budget.optimal_attack_info(eps), info_limit=budget.info_limit(eps),
+            deception_exact=budget.deception_probability_exact(
+                [min(p_bar, 1.0)] * n_is, budget.tolerance(n_is, eps))))
+    _emit(args, cfg, rows)
     return 0
 
 
@@ -293,15 +287,15 @@ def cmd_epslim(args, cfg) -> int:
             lim = estimation.solve_eps_limit(s, delta, eps_max)
         except estimation.NoSolution:
             lim = ""
-        rows.append((s, delta, eps_max, lim))
-    _emit(args, cfg, ["s", "delta", "eps_max", "eps_limit"], rows)
+        rows.append(dict(s=s, delta=delta, eps_max=eps_max, eps_limit=lim))
+    _emit(args, cfg, rows)
     return 0
 
 
 def cmd_budget(args, cfg) -> int:
     params = _budget_params(cfg)
     b_min = budget.min_initial_secret_bits(params.n_pulses, params.s)
-    planned = protocol2.planned_key_consumption(params.n_pulses, params.s)
+    planned = budget.planned_key_consumption(params.n_pulses, params.s)
     terms = budget.distilled_terms(params)
     _say(f"operating point: N={params.n_pulses} mu={params.mu} "
          f"eta={params.eta:.6g} eps={params.eps}")
@@ -315,14 +309,13 @@ def cmd_budget(args, cfg) -> int:
     _say(f"  compression overhead      {terms.pa_compression:.1f}")
     _say(f"distilled key               {terms.total:.1f}")
     _say(f"net per session (estimate)  {terms.total - planned:.1f}")
-    _emit(args, cfg,
-          ["n_pulses", "mu", "eta", "eps", "b_min", "planned", "sifted",
-           "corrected", "beamsplit", "probe_attack", "five_sigma",
-           "pa_compression", "distilled", "net"],
-          [(params.n_pulses, params.mu, params.eta, params.eps, b_min,
-            planned, budget.expected_sifted_len(params), terms.corrected,
-            terms.beamsplit, terms.probe_attack, terms.five_sigma,
-            terms.pa_compression, terms.total, terms.total - planned)])
+    _emit(args, cfg, [dict(
+        n_pulses=params.n_pulses, mu=params.mu, eta=params.eta, eps=params.eps,
+        b_min=b_min, planned=planned, sifted=budget.expected_sifted_len(params),
+        corrected=terms.corrected, beamsplit=terms.beamsplit,
+        probe_attack=terms.probe_attack, five_sigma=terms.five_sigma,
+        pa_compression=terms.pa_compression, distilled=terms.total,
+        net=terms.total - planned)])
     return 0
 
 
@@ -346,9 +339,9 @@ def cmd_optimize_mu(args, cfg) -> int:
     grid = budget.default_mu_grid()
     rates = budget.distilled_per_pulse(params, grid)
     evens = budget.break_even_grid(params, grid)
-    rows = [(round(float(mu), 2), r, "" if be == budget.NEVER else be)
-            for mu, r, be in zip(grid, rates, evens)]
-    _emit(args, cfg, ["mu", "distilled_per_pulse", "break_even_pulses"], rows)
+    _emit(args, cfg, [dict(mu=round(float(mu), 2), distilled_per_pulse=r,
+                           break_even_pulses="" if be == budget.NEVER else be)
+                      for mu, r, be in zip(grid, rates, evens)])
     return 0
 
 

@@ -6,8 +6,8 @@ package.
 Randomness contract: all stochastic code takes a ``numpy.random.Generator``
 (PCG64, at least 64 bits of seed state).  Independent concerns inside one
 session (channel noise, eavesdropper choices, subset selection, ...) each
-get their own child stream via ``spawn_streams`` so that adding or removing
-one consumer never perturbs the draws seen by another.
+draw from their own child of numpy's ``Generator.spawn``, so that adding or
+removing one consumer never perturbs the draws seen by another.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "SecretPool",
     "sync_pools",
     "make_rng",
-    "spawn_streams",
     "random_bitstring",
     "counter_hash",
     "shuffle_rank",
@@ -274,11 +273,6 @@ def sync_pools(a: SecretPool, b: SecretPool, need: int) -> None:
 def make_rng(seed: int | None = None) -> np.random.Generator:
     """Root generator for a session; seed is a 64-bit unsigned integer."""
     return np.random.default_rng(seed)
-
-
-def spawn_streams(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Split n statistically independent child streams off a generator."""
-    return rng.spawn(n)
 
 
 def random_bitstring(n: int, rng: np.random.Generator) -> BitString:

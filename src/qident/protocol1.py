@@ -97,8 +97,7 @@ def _transmit(
     """Binary symmetric channel: each bit flips independently at eps."""
     if eps <= 0.0:
         return bits
-    noise = np.packbits(rng.random(len(bits)) < eps).tobytes()
-    return bits.xor(BitString.from_bytes(noise, len(bits)))
+    return bits.xor(BitString(rng.random(len(bits)) < eps))
 
 
 IMPOSTORS = ("initiator", "responder")  # the sides an impostor may take

@@ -23,9 +23,10 @@ Message flow (kinds in parentheses; B is the photon receiver):
 Identification is mutual: each party proves possession of the pool by
 authenticating at least one message, and every verification failure
 aborts the session, as does a frame that does not parse or arrives as
-another kind than was sent.  Authentication keys are drawn from the pool in
-message order by both parties alike, and a key is consumed even when
-the message it protects is rejected, so no key is ever reused.
+another kind than was sent.  Authentication keys are sized from
+budget.message_bit_lengths and drawn from the pool in message order by
+both parties alike, and a key is consumed even when the message it
+protects is rejected, so no key is ever reused.
 
 Error estimation: B samples 2s detected positions blind to basis
 matching; A discloses her basis and bit for each; B counts k mismatches
@@ -66,7 +67,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import fft as sfft
 
-from . import auth
+from . import auth, budget
 from .budget import (
     BudgetParams,
     corrected_len,
@@ -84,7 +85,6 @@ from .core import (
     pack_uints,
     random_bitstring,
     shuffle_rank,
-    spawn_streams,
     sync_pools,
     unpack_uints,
 )
@@ -97,8 +97,6 @@ __all__ = [
     "InsufficientDetections",
     "AdversaryScript",
     "Protocol2Result",
-    "message_bit_lengths",
-    "planned_key_consumption",
     "default_pool_bits",
     "select_subset_positions",
     "compute_out_len",
@@ -182,37 +180,13 @@ class AdversaryScript:
     name: str = ""
 
 
-# -- message sizing and key accounting --------------------------------
-
-
-def message_bit_lengths(n_pulses: int, s: int) -> dict[MsgKind, int]:
-    """Payload bit lengths of the three authenticated messages."""
-    w = position_bits(n_pulses)
-    return {
-        MsgKind.POSITIONS: 2 * s * w,
-        MsgKind.BASES_AND_BITS: 4 * s,
-        MsgKind.FINAL_VERDICT: 32,
-    }
-
-
-def planned_key_consumption(n_pulses: int, s: int) -> int:
-    """Pool bits the three authentication keys consume, barring the
-    ~2**-61 per-word rejection: word size times words_needed per message.
-
-    Slightly above min_initial_secret_bits because each key covers whole
-    encoding words (sentinel and group padding) rather than bare
-    payload-plus-tag; run_protocol2 refuses to start on less.
-    """
-    return sum(
-        auth.WORD_BITS * auth.words_needed(n_bits)
-        for n_bits in message_bit_lengths(n_pulses, s).values()
-    )
+# -- pool sizing and sampling --------------------------------------------
 
 
 def default_pool_bits(n_pulses: int, s: int) -> int:
     """Initial pool size used when the caller does not specify one:
     planned consumption plus eight words of rejection slack."""
-    return planned_key_consumption(n_pulses, s) + 8 * auth.WORD_BITS
+    return budget.planned_key_consumption(n_pulses, s) + 8 * auth.WORD_BITS
 
 
 def select_subset_positions(
@@ -239,8 +213,6 @@ def _parse_positions(payload: BitString, w: int, n_pulses: int) -> np.ndarray:
 
 
 def _build_verdict(accept: bool, k: int) -> BitString:
-    if not 0 <= k < (1 << 16):
-        raise ValueError("mismatch count does not fit in 16 bits")
     # accept flag, 15 reserved zero bits, k
     return pack_uints([int(accept) << 31 | k], 32)
 
@@ -394,8 +366,8 @@ def _verify(diff: np.ndarray, key: int) -> int:
 def error_correct(
     alice: np.ndarray, bob: np.ndarray, eps_hint: float, rng
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Interactive parity error correction; returns (alice's string,
-    corrected bob copy, parity bits disclosed).
+    """Interactive parity error correction; returns (alice itself, not a
+    copy, a corrected copy of bob, parity bits disclosed).
 
     Phase 1 is an EC_PASSES-pass Cascade whose first blocks hold about
     0.73/eps_hint bits.  Phase 2 asks random-subset parities to match
@@ -416,11 +388,11 @@ def error_correct(
         raise ValueError("need two equal-length bit vectors")
     n = alice.size
     if n == 0:
-        return alice.copy(), bob.copy(), 0
+        return alice, bob.copy(), 0
     diff = (alice ^ bob).astype(np.uint8)
     leak = _cascade(diff, max(2, round(0.73 / max(eps_hint, 1.0 / n))), rng)
     leak += _verify(diff, int(rng.integers(1 << 63)))
-    return alice.copy(), alice ^ diff, leak
+    return alice, alice ^ diff, leak
 
 
 # -- privacy amplification ---------------------------------------------
@@ -563,9 +535,10 @@ def _send(res, tamper, msg: WireMessage, stage: str, n_bits, parse=None, key=Non
 
 def _exchange(res, tamper, lengths, kind: MsgKind, stage: str, payload: BitString,
               from_bob: bool, parse):
-    """One authenticated message of lengths[kind] bits, lengths being the
-    message_bit_lengths table: both parties size its key from that and draw
-    it in message order; the sender tags with its key, the receiver verifies."""
+    """One authenticated message of lengths[kind] bits, lengths keying
+    budget.message_bit_lengths by kind: both parties size its key from that
+    and draw it in message order; the sender tags with its key, the
+    receiver verifies."""
     n_bits = lengths[kind]
     n_words = auth.words_needed(n_bits)
     key_a, _ = auth.key_from_pool(res.alice_pool, n_words)
@@ -608,15 +581,14 @@ def run_protocol2(
         raise ValueError(f"2s = {2 * params.s} overflows the verdict's 16-bit k field")
     if (alice_pool is None) != (bob_pool is None):
         raise ValueError("provide both pools or neither")
-    root = make_rng(seed)
-    pool_rng, qkd_rng, proto_rng = spawn_streams(root, 3)
+    pool_rng, qkd_rng, proto_rng = make_rng(seed).spawn(3)
 
     n, s = params.n_pulses, params.s
     if alice_pool is None:
         shared = random_bitstring(default_pool_bits(n, s), pool_rng)
         alice_pool, bob_pool = SecretPool(shared), SecretPool(shared)
 
-    sync_pools(alice_pool, bob_pool, planned_key_consumption(n, s))
+    sync_pools(alice_pool, bob_pool, budget.planned_key_consumption(n, s))
 
     run = run_qkd(params, qkd_rng, adversary.eve)
     res = Protocol2Result(alice_pool, bob_pool, n_sifted=run.n_sifted)
@@ -639,7 +611,7 @@ def _play(res: Protocol2Result, params: BudgetParams, run, rng, tamper) -> None:
     at the first stage that fails and returns after a refuel."""
     n, s = params.n_pulses, params.s
     w = position_bits(n)
-    lengths = message_bit_lengths(n, s)
+    lengths = dict(zip(AUTHENTICATED_KINDS, budget.message_bit_lengths(n, s)))
     det = run.detected
 
     # B -> A: sample positions; A -> B: her bases and bits at them.  B

@@ -405,3 +405,12 @@ class TestVectorLines:
             format_vector_line((0,), bs(""), 0)
         with pytest.raises(BadKey):
             format_vector_line((0, M61), bs(""), 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: words_needed(-1),
+    lambda: decode_message((1, 2), -1),
+], ids=["words-needed", "decode-length"])
+def test_negative_lengths_raise(call):
+    with pytest.raises(ValueError):
+        call()

@@ -34,9 +34,11 @@ from qident.budget import (
     guess_probability_from_info,
     info_limit,
     log_deception_probability_bound,
+    message_bit_lengths,
     min_initial_secret_bits,
     optimal_attack_info,
     optimize_intensity,
+    planned_key_consumption,
     position_bits,
     tolerance,
 )
@@ -80,6 +82,33 @@ def test_range_checks_refuse_nan(call):
     # lets it through to a NaN result
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: deception_probability_exact([], 1),
+    lambda: deception_probability_exact([0.9], -1),
+    lambda: log_deception_probability_bound(100, 0.01, 0.49),
+    lambda: critical_guess_probability(0.5),
+    lambda: critical_guess_probability_finite(0.01, 1),
+    lambda: optimal_attack_info(0.6),
+    lambda: guess_probability_from_info(1.5),
+    lambda: replace(BudgetParams.reference(), eps=1.0),
+    lambda: min_initial_secret_bits(100_000, -1),
+    lambda: corrected_len(100.0, 1.0),
+], ids=["deception-empty", "deception-negative-k", "bound-p-below-half",
+        "critical-at-half", "critical-finite-n-1", "attack-info-above-half",
+        "guess-info-above-one", "params-eps-1", "min-secret-negative-s",
+        "corrected-eps-1"])
+def test_range_checks_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_bound_is_zero_in_log_space_once_k_exceeds_n(monkeypatch):
+    # tolerance(N, eps) is at most N for every eps < 1 in float arithmetic,
+    # so the branch is reached only with a larger k put in its place
+    monkeypatch.setattr(budget, "tolerance", lambda n_is, eps: n_is + 1)
+    assert log_deception_probability_bound(10, 0.5, 0.75) == 0.0
 
 
 class TestTolerance:
@@ -553,6 +582,37 @@ class TestArrayPathMatchesOracle:
         assert got.tolist() == [oracle_break_even_pulses(replace(reference_params, mu=m))
                                 for m in grid]
         assert all(shape[0] <= len(grid) for shape in seen)
+
+
+class TestSizing:
+    def test_position_field_bits(self):
+        # two s fields, each as wide as the bit length of N
+        for n, width in ((6_250_000, 23), (100_000, 17)):
+            assert message_bit_lengths(n, 3)[0] == 6 * width
+
+    def test_planned_consumption_and_minimum_share_the_position_width(self):
+        # exact widths: from 2**49 - 1 on, a float log2 reads one bit more
+        s = 1000
+        for n in [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]:
+            width = n.bit_length()
+            assert message_bit_lengths(n, s)[0] == 2 * s * width
+            assert min_initial_secret_bits(n, s) == 2 * s * (width + 2) + 32 + 3 * 61
+        assert planned_key_consumption(2**49 - 1, s) == 102_297
+
+    def test_message_lengths(self):
+        # positions, bases and bits, verdict: in message order
+        assert message_bit_lengths(6_250_000, 1000) == (46_000, 4_000, 32)
+        lengths = message_bit_lengths(np.array([100_000, 6_250_000]), 1000)
+        assert lengths[0].tolist() == [34_000, 46_000] and lengths[1:] == (4_000, 32)
+
+    def test_planned_key_consumption_anchor(self):
+        # 756 + 67 + 2 encoding words of 61 bits each
+        assert planned_key_consumption(6_250_000, 1000) == 50_325
+        assert planned_key_consumption(100_000, 1000) == 38_308
+
+    def test_consumption_covers_the_floor(self):
+        for n in (100_000, 1_000_000, 6_250_000):
+            assert planned_key_consumption(n, 1000) >= min_initial_secret_bits(n, 1000)
 
 
 class TestMinInitialSecretBitsArrays:

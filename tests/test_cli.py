@@ -53,6 +53,16 @@ class TestConfigParsing:
         with pytest.raises(RangeError, match="'mu'"):
             parse_config("mu = 2.0\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("budget", "--config"),
+        ("auth-tag", "--vectors"),
+        ("auth-verify", "--vectors"),
+    ], ids=["config", "vectors-tag", "vectors-verify"])
+    def test_missing_file_cannot_be_read(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv, str(tmp_path / "absent.txt"))
+        assert code == 2 and out == ""
+        assert "cannot read" in err
+
     @pytest.mark.parametrize("line", ["eta_bob = 0.5", "eta_det = 0.1", "a = 61"])
     def test_removed_operating_point_keys_are_unknown(self, capsys, tmp_path, line):
         # the overall efficiency is eta alone and the tag is the field's

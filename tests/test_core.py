@@ -15,7 +15,6 @@ from qident.core import (
     pack_uints,
     random_bitstring,
     shuffle_rank,
-    spawn_streams,
     strict_ceil,
     sync_pools,
     unpack_uints,
@@ -231,8 +230,8 @@ class TestRandomness:
 
     def test_spawned_streams_are_stable(self):
         # child streams must not depend on each other's draw volume
-        r1 = spawn_streams(make_rng(9), 3)
-        r2 = spawn_streams(make_rng(9), 3)
+        r1 = make_rng(9).spawn(3)
+        r2 = make_rng(9).spawn(3)
         r1[0].random(1000)  # extra draws on one child
         assert np.array_equal(r1[2].random(16), r2[2].random(16))
 
@@ -291,3 +290,25 @@ class TestShuffleRank:
             table[np.arange(n), shuffle_rank(key, n, np.arange(n))] += 1
         p = 1 / n
         assert np.all(np.abs(table - keys * p) <= 5 * np.sqrt(keys * p * (1 - p)))
+
+
+def _pool(n=16):
+    return SecretPool(BitString.zeros(n))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: _pool().consume(-1), ValueError),
+    (lambda: _pool().advance_to(17), PoolExhausted),
+    (lambda: pack_uints([1], 0), ValueError),
+    (lambda: pack_uints([1], 64), ValueError),
+    (lambda: pack_uints([[1, 2]], 8), ValueError),
+    (lambda: unpack_uints(np.zeros(64, np.uint8), 64), ValueError),
+    (lambda: BitString(np.zeros((2, 2), np.uint8)), ValueError),
+    (lambda: BitString.zeros(-1), ValueError),
+    (lambda: random_bitstring(-1, make_rng(0)), ValueError),
+], ids=["consume-negative", "advance-past-end", "pack-width-0", "pack-width-64",
+        "pack-2d", "unpack-width-64", "bitstring-2d", "zeros-negative",
+        "random-negative"])
+def test_input_checks_raise(call, error):
+    with pytest.raises(error):
+        call()

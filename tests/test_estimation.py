@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from qident import estimation, protocol2
 from qident.budget import BudgetParams
 from qident.core import QidentError
 from qident.estimation import (
@@ -146,6 +147,11 @@ class TestEpsLimit:
         tight = solve_eps_limit(1000, 1e-10, 0.07)
         assert loose > tight
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    def test_rejects_delta_outside_the_open_unit_interval(self, delta):
+        with pytest.raises(ValueError):
+            solve_eps_limit(1000, delta, 0.07)
+
     def test_no_solution_for_tiny_sample(self):
         with pytest.raises(NoSolution):
             solve_eps_limit(10, 1e-10, 0.07)
@@ -173,3 +179,17 @@ class TestEpsLimit:
                 continue
             assert _accepts(k, s, params), s
             assert not _accepts(k + 1, s, params), s
+
+    # limits on a count's edge: one ulp below j / s, where limit * s
+    # rounds up to j (6, 5; 13, 3), and j / s itself, where it rounds
+    # down below j (47, 3; 49, 1), so each stepping loop has work to do
+    @pytest.mark.parametrize("s, j", [(6, 5), (13, 3), (47, 3), (49, 1), (22, 15), (1000, 24)])
+    @pytest.mark.parametrize("step", [-math.inf, None, math.inf])
+    def test_acceptable_error_count_steps_to_the_exact_edge(self, monkeypatch, s, j, step):
+        limit = j / s if step is None else math.nextafter(j / s, step)
+        for module in (estimation, protocol2):
+            monkeypatch.setattr(module, "solve_eps_limit", lambda *_: limit)
+        k = acceptable_error_count(s, 1e-10, 0.07)
+        assert k == max(k for k in range(s + 1) if k / s <= limit)
+        params = BudgetParams.reference()
+        assert _accepts(k, s, params) and not _accepts(k + 1, s, params)

