@@ -20,7 +20,6 @@ from .core import (
     PoolExhausted,
     QidentError,
     SecretPool,
-    make_rng,
     random_bitstring,
     sync_pools,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "PoolExhausted",
     "QidentError",
     "SecretPool",
-    "make_rng",
     "random_bitstring",
     "sync_pools",
 ]

@@ -33,7 +33,7 @@ every word is exactly uniform on [0, p).  The groups are read in
 batches: as many as there are words still missing, then again only for
 the words rejection discarded.  The bits consumed are therefore exactly
 those of drawing one group at a time, and both parties, holding the same
-bits, consume the same count.  A supply that cannot finish the key
+bits, consume the same count.  A pool that cannot finish the key
 raises PoolExhausted and is not advanced at all.
 """
 
@@ -59,7 +59,6 @@ __all__ = [
     "encode_message",
     "decode_message",
     "key_from_pool",
-    "key_from_bits",
     "tag_message",
     "authenticate",
     "verify",
@@ -172,9 +171,15 @@ def decode_message(words, msg_len: int) -> BitString:
     return packed[:msg_len]
 
 
-def _draw_words(supply: np.ndarray, n_words: int) -> tuple[tuple[int, ...], int]:
+def key_from_pool(pool: SecretPool, n_words: int) -> tuple[tuple[int, ...], int]:
+    """Draw n_words key words from the shared pool and consume the bits
+    read; returns (key, bits consumed).  Both parties run this on
+    identical pools, so they reject the same groups and consume the
+    same number of bits.  Raises PoolExhausted, leaving the pointer
+    where it was, when the pool cannot finish the key."""
     # each batch reads exactly the words still missing, so the last group
     # read completes the key, as in a one-at-a-time draw
+    supply = pool.peek()
     key: list[int] = []
     used = 0
     while len(key) < n_words:
@@ -186,25 +191,8 @@ def _draw_words(supply: np.ndarray, n_words: int) -> tuple[tuple[int, ...], int]
         values = unpack_uints(supply[used : used + need], WORD_BITS)
         key += values[values < M61].tolist()
         used += need
-    return tuple(key), used
-
-
-def key_from_pool(pool: SecretPool, n_words: int) -> tuple[tuple[int, ...], int]:
-    """Draw n_words key words from the shared pool and consume the bits
-    read; returns (key, bits consumed).  Both parties run this on
-    identical pools, so they reject the same groups and consume the
-    same number of bits.  Raises PoolExhausted, leaving the pointer
-    where it was, when the pool cannot finish the key."""
-    key, used = _draw_words(pool.peek(), n_words)
     pool.consume(used)
-    return key, used
-
-
-def key_from_bits(bits: BitString, n_words: int) -> tuple[tuple[int, ...], int]:
-    """key_from_pool against a fixed bit supply; returns (key, bits
-    consumed).  Raises PoolExhausted if the supply runs out before
-    n_words words survive rejection."""
-    return _draw_words(bits.bits, n_words)
+    return tuple(key), used
 
 
 def _check_key(key, n_words: int, p: int) -> tuple[int, ...]:

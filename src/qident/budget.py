@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auth import WORD_BITS, words_needed
-from .core import QidentError, strict_ceil
+from .core import QidentError
 
 __all__ = [
     "AllZero",
@@ -79,12 +79,12 @@ def _log_choose(n: int, k: int) -> float:
 
 def tolerance(n_is: int, eps: float) -> int:
     """Wrong bits an identification pass of n_is bits accepts at
-    tolerance rate eps: strict_ceil(eps * n_is)."""
+    tolerance rate eps: the least integer above eps * n_is, at most n_is."""
     if n_is < 1:
         raise ValueError("n_is must be positive")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must be in [0, 1)")
-    return strict_ceil(eps * n_is)
+    return math.floor(eps * n_is) + 1
 
 
 def deception_probability_exact(p_list, k: int) -> float:
@@ -123,8 +123,6 @@ def log_deception_probability_bound(n_is: int, eps: float, p_bar: float) -> floa
     k = tolerance(n_is, eps)
     if not 0.5 <= p_bar <= 1.0:
         raise ValueError("the bound requires p_bar in [1/2, 1]")
-    if k > n_is:
-        return 0.0  # probability 1: every outcome has at most N errors
     return n_is * math.log(p_bar) + k * LN2 + _log_choose(n_is, k)
 
 
@@ -292,7 +290,7 @@ _POWERS_OF_TWO = np.left_shift(1, np.arange(63, dtype=np.int64))
 
 def position_bits(n_pulses):
     """Width of one pulse-position field: the bit length of N, which is
-    strict_ceil(log2 N), counted exactly rather than through a float
+    floor(log2 N) + 1, counted exactly rather than through a float
     logarithm.  n_pulses may be an integer array, and the result then
     has its shape."""
     width = np.searchsorted(_POWERS_OF_TWO, n_pulses, side="right")

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import BudgetParams
-from .core import counter_hash, make_rng
+from .core import counter_hash
 
 __all__ = [
     "EveStrategy",
@@ -127,8 +127,6 @@ class QkdRun:
     params: BudgetParams
     alice_key: int
     detected: np.ndarray
-    alice_bits: np.ndarray
-    alice_bases: np.ndarray
     bob_bases: np.ndarray
     bob_bits: np.ndarray
     eve_known: np.ndarray
@@ -148,7 +146,7 @@ class QkdRun:
     @property
     def error_count(self) -> int:
         idx = self.sifted
-        return int((self.alice_bits[idx] != self.bob_bits[idx]).sum())
+        return int((self.alice_at(self.detected[idx])[0] != self.bob_bits[idx]).sum())
 
     @property
     def error_rate(self) -> float:
@@ -156,13 +154,9 @@ class QkdRun:
             return 0.0
         return self.error_count / self.n_sifted
 
-    def eve_known_sifted(self) -> np.ndarray:
-        """Boolean mask over the sifted set: bits Eve knows outright."""
-        return self.eve_known[self.sifted]
-
     def eve_information_bits(self) -> float:
         """Adversary knowledge of the sifted string, in bits."""
-        return float(self.eve_known_sifted().sum())
+        return float(self.eve_known[self.sifted].sum())
 
 
 def run_qkd(
@@ -184,7 +178,7 @@ def run_qkd(
     """
     if params.eps >= 0.5:
         raise ValueError(f"channel error rate eps={params.eps} must lie below 1/2")
-    rng_alice, rng_bob, rng_eve = make_rng(seed).spawn(3)
+    rng_alice, rng_bob, rng_eve = np.random.default_rng(seed).spawn(3)
 
     alice_key = int(rng_alice.integers(1 << 63))
     detected = _detections(params.n_pulses, detection_probability(params), rng_bob)
@@ -219,8 +213,6 @@ def run_qkd(
         params=params,
         alice_key=alice_key,
         detected=detected,
-        alice_bits=alice_bits,
-        alice_bases=alice_bases,
         bob_bases=bob_bases,
         bob_bits=bob_bits,
         eve_known=eve_known,

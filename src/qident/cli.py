@@ -44,7 +44,7 @@ import numpy as np
 from . import auth, budget, estimation, protocol1, protocol2
 from .budget import BudgetParams
 from .channel import EveParams, EveStrategy, run_qkd, write_transcript_csv
-from .core import BitString, QidentError, make_rng
+from .core import BitString, QidentError, SecretPool
 from .protocol1 import IdentOutcome
 
 __all__ = ["main", "ConfigError", "ParseError", "RangeError", "load_config"]
@@ -104,15 +104,17 @@ def _coerce(key: str, raw: str, where: str):
 
 
 def parse_config(text: str) -> dict:
-    cfg = {}
+    cfg, seen = {}, {}
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ParseError(f"line {ln}: expected key = value")
-        key, _, raw = line.partition("=")
-        cfg[key.strip()] = _coerce(key.strip(), raw.strip(), f"line {ln}")
+        key, _, raw = map(str.strip, line.partition("="))
+        if key in seen:
+            raise ParseError(f"line {ln}: '{key}' is already set on line {seen[key]}")
+        cfg[key], seen[key] = _coerce(key, raw, f"line {ln}"), ln
     return cfg
 
 
@@ -174,15 +176,16 @@ def cmd_simulate_qkd(args, cfg) -> int:
     eve = _eve_params(cfg)
     if args.dump and args.trials != 1:
         raise ConfigError("--dump records a single run; use --trials 1")
-    root = make_rng(args.seed)
+    root = np.random.default_rng(args.seed)
     rows = []
     for t in range(args.trials):
         run = run_qkd(params, root, eve)
-        rows.append(dict(trial=t, detected=run.n_detected, sifted=run.n_sifted,
-                         errors=run.error_count, rate=run.error_rate,
-                         eve_known_bits=run.eve_information_bits()))
+        row = dict(trial=t, detected=run.n_detected, sifted=run.n_sifted,
+                   errors=run.error_count, rate=run.error_rate,
+                   eve_known_bits=run.eve_information_bits())
+        rows.append(row)
         _say(f"trial {t}: detected={run.n_detected} sifted={run.n_sifted} "
-             f"errors={run.error_count} rate={run.error_rate:.5f}")
+             f"errors={row['errors']} rate={row['rate']:.5f}")
         if args.dump:
             with open(args.dump, "w", encoding="utf-8", newline="") as fh:
                 write_transcript_csv(run, fh)
@@ -214,7 +217,7 @@ def cmd_protocol1(args, cfg) -> int:
 def cmd_protocol2(args, cfg) -> int:
     params = _budget_params(cfg)
     adversary = protocol2.AdversaryScript(eve=_eve_params(cfg))
-    root = make_rng(args.seed)
+    root = np.random.default_rng(args.seed)
     rows = []
     identified = 0
     for t in range(args.trials):
@@ -380,7 +383,7 @@ def _key_for(args, message: BitString) -> tuple[int, ...]:
     """--words key words (default: as many as message needs) from --key."""
     key_bits = _parse_bits(args.key, "key")
     n_words = args.words if args.words is not None else auth.words_needed(len(message))
-    key, _ = auth.key_from_bits(key_bits, n_words)
+    key, _ = auth.key_from_pool(SecretPool(key_bits), n_words)
     return key
 
 
@@ -398,7 +401,7 @@ def cmd_auth_verify(args, cfg) -> int:
     if args.vectors:
         bad = 0
         for ln, (key, msg, tag) in _iter_vectors(args.vectors):
-            ok = auth.authenticate(msg, key) == tag
+            ok = auth.verify(msg, tag, key)
             bad += not ok
             print(f"line {ln}: {'ok' if ok else 'BAD'}")
         return 1 if bad else 0

@@ -23,11 +23,9 @@ __all__ = [
     "BitString",
     "SecretPool",
     "sync_pools",
-    "make_rng",
     "random_bitstring",
     "counter_hash",
     "shuffle_rank",
-    "strict_ceil",
     "pack_uints",
     "unpack_uints",
 ]
@@ -43,15 +41,6 @@ class PoolExhausted(QidentError):
 
 class LengthMismatch(QidentError):
     """Two bit strings that must have equal length do not."""
-
-
-def strict_ceil(x: float) -> int:
-    """Smallest integer strictly greater than x.
-
-    This is the bracket used throughout the tolerance and budget formulas:
-    strict_ceil(0.5) == 1, strict_ceil(2.0) == 3.
-    """
-    return int(math.floor(x)) + 1
 
 
 class BitString:
@@ -268,11 +257,6 @@ def sync_pools(a: SecretPool, b: SecretPool, need: int) -> None:
 
 
 # -- randomness ------------------------------------------------------
-
-
-def make_rng(seed: int | None = None) -> np.random.Generator:
-    """Root generator for a session; seed is a 64-bit unsigned integer."""
-    return np.random.default_rng(seed)
 
 
 def random_bitstring(n: int, rng: np.random.Generator) -> BitString:

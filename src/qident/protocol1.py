@@ -27,7 +27,7 @@ import numpy as np
 from scipy import special
 
 from .budget import tolerance
-from .core import BitString, SecretPool, make_rng, random_bitstring, sync_pools
+from .core import BitString, SecretPool, random_bitstring, sync_pools
 
 __all__ = [
     "IdentOutcome",
@@ -133,7 +133,7 @@ def run_protocol1(
     each bit at the design error rate params.eps.
     """
     honest = _honest_sides(impostor)
-    rng = make_rng(rng)
+    rng = np.random.default_rng(rng)
     sync_pools(alice, bob, params.triad_bits)
     n = params.n_is
     bits = {"alice": alice.consume(params.triad_bits),
@@ -177,7 +177,7 @@ def run_trials(
     run_protocol1, but not the same draws at a given seed.
     """
     honest = _check_run_args(n_trials, impostor)
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
     shape = (3, params.n_is)
     tally = np.zeros(len(IdentOutcome), dtype=np.int64)
     for done in range(0, n_trials, TRIAL_CHUNK):
@@ -212,7 +212,7 @@ def run_sessions(
     ``qident protocol1`` runs.
     """
     _check_run_args(n_sessions, impostor)
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def triad() -> BitString:  # three parts, drawn one at a time
         is1, is2, is3 = (random_bitstring(params.n_is, rng) for _ in range(3))
@@ -241,7 +241,7 @@ def eve_impersonation_frequency(
     and succeeds when at most params.k guesses are wrong.  The attempts
     are drawn TRIAL_CHUNK rows at a time.
     """
-    rng = make_rng(rng)
+    rng = np.random.default_rng(rng)
     probs = np.asarray(eve_bit_probs, dtype=float)
     if probs.ndim != 1 or probs.size != params.n_is:
         raise ValueError(f"need exactly {params.n_is} per-bit probabilities")

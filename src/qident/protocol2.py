@@ -81,7 +81,6 @@ from .core import (
     QidentError,
     SecretPool,
     counter_hash,
-    make_rng,
     pack_uints,
     random_bitstring,
     shuffle_rank,
@@ -452,7 +451,7 @@ def sifting_mitm_script(seed: int = 0) -> AdversaryScript:
     honest parties defeat it at the first tag verification (or, were
     tags somehow guessed, at the error-rate verdict).
     """
-    rng = make_rng(seed)
+    rng = np.random.default_rng(seed)
 
     def tamper(msg: WireMessage) -> WireMessage | None:
         if msg.kind not in AUTHENTICATED_KINDS:
@@ -581,7 +580,7 @@ def run_protocol2(
         raise ValueError(f"2s = {2 * params.s} overflows the verdict's 16-bit k field")
     if (alice_pool is None) != (bob_pool is None):
         raise ValueError("provide both pools or neither")
-    pool_rng, qkd_rng, proto_rng = make_rng(seed).spawn(3)
+    pool_rng, qkd_rng, proto_rng = np.random.default_rng(seed).spawn(3)
 
     n, s = params.n_pulses, params.s
     if alice_pool is None:

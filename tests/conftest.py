@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qident.budget import BudgetParams
-from qident.core import make_rng
 
 # verdict lines recorded by the acceptance suite, echoed after the run
 ACCEPTANCE_VERDICTS: list[str] = []
@@ -10,7 +9,7 @@ ACCEPTANCE_VERDICTS: list[str] = []
 
 @pytest.fixture
 def rng() -> np.random.Generator:
-    return make_rng(20260819)
+    return np.random.default_rng(20260819)
 
 
 @pytest.fixture

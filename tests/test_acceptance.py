@@ -20,7 +20,7 @@ import conftest
 from qident import auth, budget, cli, estimation, protocol1, protocol2
 from qident.budget import BudgetParams
 from qident.channel import EveParams, EveStrategy
-from qident.core import make_rng, random_bitstring
+from qident.core import SecretPool, random_bitstring
 from qident.protocol1 import IdentOutcome
 
 
@@ -106,14 +106,14 @@ def test_criterion_5_intensity_optimum_and_break_even():
 
 def test_criterion_6_production_scale_authentication():
     t0 = time.perf_counter()
-    rng = make_rng(6)
+    rng = np.random.default_rng(6)
     lengths = [0, 1, auth.max_message_bits(auth.PRODUCTION_WORDS)]
     lengths += [int(v) for v in rng.integers(0, 45_018, size=97)]
     n_ok = n_rej = 0
     for i, n_bits in enumerate(lengths):
         msg = random_bitstring(n_bits, rng)
-        key, _ = auth.key_from_bits(
-            random_bitstring(auth.PRODUCTION_KEY_BITS + 610, rng),
+        key, _ = auth.key_from_pool(
+            SecretPool(random_bitstring(auth.PRODUCTION_KEY_BITS + 610, rng)),
             auth.PRODUCTION_WORDS,
         )
         tag = auth.authenticate(msg, key)
@@ -185,7 +185,7 @@ def brute_force_deception(probs, k: int) -> float:
 
 def test_criterion_8_deception_oracle_equivalence():
     t0 = time.perf_counter()
-    rng = make_rng(8)
+    rng = np.random.default_rng(8)
     n_equal = n_dominated = 0
     max_gap = 0.0
     for _ in range(100):
@@ -208,7 +208,7 @@ def test_criterion_8_deception_oracle_equivalence():
     params = protocol1.Protocol1Params(n_is=20, eps=0.01)
     exact_mc = budget.deception_probability_exact([0.6] * 20, params.k)
     freq = protocol1.eve_impersonation_frequency(
-        [0.6] * 20, params, 1_000_000, rng=make_rng(88)
+        [0.6] * 20, params, 1_000_000, rng=np.random.default_rng(88)
     )
     sigma = math.sqrt(exact_mc * (1.0 - exact_mc) / 1_000_000)
     z = abs(freq - exact_mc) / sigma
@@ -231,7 +231,7 @@ def test_criterion_9_protocol2_security():
     kinds = list(protocol2.AUTHENTICATED_KINDS)
     tamper_caught = 0
     for i in range(100):
-        srng = make_rng(900 + i)
+        srng = np.random.default_rng(900 + i)
         kind = kinds[int(srng.integers(0, len(kinds)))]
 
         def tamper(msg, kind=kind, srng=srng):
@@ -252,13 +252,13 @@ def test_criterion_9_protocol2_security():
     ir = protocol2.AdversaryScript(
         eve=EveParams(strategy=EveStrategy.INTERCEPT_RESEND, fraction=1.0)
     )
-    root = make_rng(91)
+    root = np.random.default_rng(91)
     denied = 0
     for _ in range(1000):
         denied += not protocol2.run_protocol2(small, seed=root, adversary=ir).refueled
 
     # (c) man-in-the-middle running separate photon exchanges
-    root = make_rng(92)
+    root = np.random.default_rng(92)
     defeated = 0
     for i in range(1000):
         r = protocol2.run_protocol2(

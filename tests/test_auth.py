@@ -25,7 +25,6 @@ from qident.auth import (
     decode_message,
     encode_message,
     format_vector_line,
-    key_from_bits,
     key_from_pool,
     max_message_bits,
     parse_vector_line,
@@ -231,37 +230,29 @@ class TestDecodeValidation:
 class TestKeyDrawing:
     def test_plain_draw(self, rng):
         supply = random_bitstring(61 * 5, rng)
-        key, used = key_from_bits(supply, 3)
+        key, used = key_from_pool(SecretPool(supply), 3)
         assert len(key) == 3 and used == 183
         assert all(0 <= x < M61 for x in key)
 
     def test_rejection_consumes_extra(self):
         supply = bs("1" * 61 + "0" * 61)
-        key, used = key_from_bits(supply, 1)
+        key, used = key_from_pool(SecretPool(supply), 1)
         assert key == (0,)
         assert used == 122  # the all-ones group was rejected
 
     def test_escape_marker_is_a_valid_key_word(self):
-        key, used = key_from_bits(bs("1" * 60 + "0"), 1)
+        key, used = key_from_pool(SecretPool(bs("1" * 60 + "0")), 1)
         assert key == (ESC,) and used == 61
 
     def test_exhaustion(self):
         with pytest.raises(PoolExhausted):
-            key_from_bits(BitString.zeros(60), 1)
+            key_from_pool(SecretPool(BitString.zeros(60)), 1)
         with pytest.raises(PoolExhausted):
-            key_from_bits(bs("1" * 61), 1)  # rejection drains the supply
+            key_from_pool(SecretPool(bs("1" * 61)), 1)  # rejection drains the supply
         pool = SecretPool(bs("1" * 61 + "0" * 60))
         with pytest.raises(PoolExhausted):
             key_from_pool(pool, 1)
         assert pool.pointer == 0  # a key that cannot be finished costs nothing
-
-    def test_pool_matches_bits_and_advances(self, rng):
-        store = random_bitstring(61 * 10, rng)
-        pool = SecretPool(store)
-        key_a, used_a = key_from_pool(pool, 4)
-        key_b, used_b = key_from_bits(store, 4)
-        assert key_a == key_b and used_a == used_b
-        assert pool.pointer == used_a
 
     @given(
         st.integers(0, 10),
@@ -283,12 +274,9 @@ class TestKeyDrawing:
         pool.consume(offset)
         if want_key is None:
             with pytest.raises(PoolExhausted):
-                key_from_bits(store[offset:], n_words)
-            with pytest.raises(PoolExhausted):
                 key_from_pool(pool, n_words)
             assert pool.pointer == offset
             return
-        assert key_from_bits(store[offset:], n_words) == (want_key, want_used)
         assert key_from_pool(pool, n_words) == (want_key, want_used)
         assert pool.pointer == offset + want_used
 
@@ -337,7 +325,7 @@ class TestTagging:
 class TestVerify:
     def test_accepts_and_rejects(self, rng):
         msg = random_bitstring(500, rng)
-        key, _ = key_from_bits(random_bitstring(61 * 12, rng), words_needed(500))
+        key, _ = key_from_pool(SecretPool(random_bitstring(61 * 12, rng)), words_needed(500))
         tag = authenticate(msg, key)
         assert verify(msg, tag, key)
         assert not verify(msg.flipped(137), tag, key)

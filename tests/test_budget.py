@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qident import budget
@@ -104,19 +104,31 @@ def test_range_checks_raise(call):
         call()
 
 
-def test_bound_is_zero_in_log_space_once_k_exceeds_n(monkeypatch):
-    # tolerance(N, eps) is at most N for every eps < 1 in float arithmetic,
-    # so the branch is reached only with a larger k put in its place
-    monkeypatch.setattr(budget, "tolerance", lambda n_is, eps: n_is + 1)
-    assert log_deception_probability_bound(10, 0.5, 0.75) == 0.0
-
-
 class TestTolerance:
     def test_smallest_count_strictly_above_the_expected_noise(self):
         assert tolerance(50, 0.01) == 1  # 0.5 expected wrong bits
         assert tolerance(100, 0.01) == 2  # exactly 1.0 expected
         assert tolerance(100, 0.0) == 1
         assert tolerance(1, 0.99) == 1
+        assert tolerance(200, 0.01) == 3  # exactly 2.0: strictly above it
+        assert tolerance(4515, 0.005) == 23  # 22.575 expected
+
+    @given(st.integers(1, 2**62), st.floats(0.0, 1.0, exclude_max=True))
+    @example(2**62, 1.0 - 2.0**-53)
+    @example(2**53 + 1, 1.0 - 2.0**-53)
+    def test_least_count_above_eps_n_and_at_most_n(self, n_is, eps):
+        # so the closed-form bound never needs a case for k > N
+        k = tolerance(n_is, eps)
+        assert k - 1 <= eps * n_is < k
+        assert k <= n_is
+
+    def test_at_most_n_next_to_every_power_of_two(self):
+        # float rounding of eps * N is widest relative to N just around
+        # the powers of two
+        top = 1.0 - 2.0**-53
+        for j in range(63):
+            for n_is in range(max(1, 2**j - 3), 2**j + 4):
+                assert tolerance(n_is, top) <= n_is
 
     @pytest.mark.parametrize("n_is, eps", [(0, 0.1), (10, -0.1), (10, 1.0),
                                            (10, float("nan"))])

@@ -90,7 +90,7 @@ class TestHonestRun:
         assert det.dtype == np.int64
         assert det[0] >= 0 and det[-1] < n_pulses
         assert np.all(np.diff(det) > 0)
-        for arr in (run.alice_bits, run.alice_bases, run.bob_bases, run.bob_bits):
+        for arr in (*run.alice_at(det), run.bob_bases, run.bob_bits):
             assert arr.shape == det.shape and arr.dtype == np.uint8
 
     def test_detections_are_independent_bernoulli(self):
@@ -111,7 +111,7 @@ class TestHonestRun:
         run = run_qkd(replace(PARAMS, n_pulses=100, mu=mu, eta=eta), seed=4)
         assert run.n_detected == run.n_sifted == run.error_count == 0
         assert run.error_rate == 0.0
-        for arr in (run.detected, run.alice_bits, run.bob_bases, run.bob_bits):
+        for arr in (run.detected, *run.alice_at(run.detected), run.bob_bases, run.bob_bits):
             assert arr.size == 0
 
     def test_intrinsic_error_rate(self):
@@ -120,8 +120,9 @@ class TestHonestRun:
 
     def test_mismatched_basis_detections_are_fair_coins(self):
         run = run_qkd(PARAMS, seed=3)
-        mask = run.alice_bases != run.bob_bases
-        agree = int((run.alice_bits[mask] == run.bob_bits[mask]).sum())
+        alice_bits, alice_bases = run.alice_at(run.detected)
+        mask = alice_bases != run.bob_bases
+        agree = int((alice_bits[mask] == run.bob_bits[mask]).sum())
         assert within_4_sigma(agree, int(mask.sum()), 0.5)
 
     def test_alice_values_are_fair_and_independent(self):
@@ -138,9 +139,6 @@ class TestHonestRun:
                        rng.choice(N, 999, replace=False)):
             for got, full in zip(run.alice_at(pulses), everything):
                 assert np.array_equal(got, full[pulses])
-        # at the detections, the run holds the same values
-        assert np.array_equal(run.alice_bits, everything[0][run.detected])
-        assert np.array_equal(run.alice_bases, everything[1][run.detected])
 
     def test_deterministic_by_seed(self):
         a, b = run_qkd(PARAMS, seed=9), run_qkd(PARAMS, seed=9)
@@ -153,10 +151,11 @@ class TestHonestRun:
 
     def test_sifted_views_align(self):
         run = run_qkd(PARAMS, seed=4)
-        matched = run.alice_bases == run.bob_bases
+        alice_bits, alice_bases = run.alice_at(run.detected)
+        matched = alice_bases == run.bob_bases
         assert np.array_equal(run.sifted, np.flatnonzero(matched))
         assert run.n_sifted == int(matched.sum())
-        errors = run.alice_bits[matched] != run.bob_bits[matched]
+        errors = alice_bits[matched] != run.bob_bits[matched]
         assert run.error_count == int(errors.sum())
 
     def test_run_draws_nothing_of_pulse_length(self):
@@ -198,7 +197,7 @@ class TestInterceptResend:
         # Eve picks Alice's basis for half the pulses she intercepts
         eve = EveParams(strategy=EveStrategy.INTERCEPT_RESEND, fraction=f)
         run = run_qkd(PARAMS, seed=seed, eve=eve)
-        known = int(run.eve_known_sifted().sum())
+        known = int(run.eve_known[run.sifted].sum())
         assert within_4_sigma(known, run.n_sifted, f / 2.0)
         assert run.eve_information_bits() == known
 
@@ -207,9 +206,9 @@ class TestInterceptResend:
         # resent faithfully: every known sifted bit is Bob's bit too
         eve = EveParams(strategy=EveStrategy.INTERCEPT_RESEND, fraction=0.5)
         run = run_qkd(replace(PARAMS, eps=0.0), seed=17, eve=eve)
-        known = run.sifted[run.eve_known_sifted()]
+        known = run.sifted[run.eve_known[run.sifted]]
         assert known.size > 0
-        assert np.array_equal(run.bob_bits[known], run.alice_bits[known])
+        assert np.array_equal(run.bob_bits[known], run.alice_at(run.detected[known])[0])
 
 
 class TestPassiveAdversaries:
@@ -217,7 +216,6 @@ class TestPassiveAdversaries:
         clean = run_qkd(PARAMS, seed=5)
         tapped = run_qkd(PARAMS, seed=5, eve=EveParams(strategy=EveStrategy.BEAMSPLIT))
         assert clean.alice_key == tapped.alice_key
-        assert np.array_equal(clean.alice_bits, tapped.alice_bits)
         assert np.array_equal(clean.detected, tapped.detected)
         assert np.array_equal(clean.bob_bases, tapped.bob_bases)
         assert np.array_equal(clean.bob_bits, tapped.bob_bits)
@@ -225,13 +223,13 @@ class TestPassiveAdversaries:
     def test_none_knows_nothing(self):
         run = run_qkd(PARAMS, seed=6)
         assert run.eve_information_bits() == 0.0
-        assert run.eve_known_sifted().sum() == 0
+        assert run.eve_known[run.sifted].sum() == 0
 
     def test_beamsplit_knowledge_rate(self):
         eve = EveParams(strategy=EveStrategy.BEAMSPLIT)
         run = run_qkd(PARAMS, seed=7, eve=eve)
         know_p = 0.8 / (4.0 * 0.63)  # mu / (4 eta_tl) at the full fraction
-        known = int(run.eve_known_sifted().sum())
+        known = int(run.eve_known[run.sifted].sum())
         assert within_4_sigma(known, run.n_sifted, know_p)
         assert run.eve_information_bits() == known
 
@@ -241,7 +239,7 @@ class TestPassiveAdversaries:
         leaky = replace(PARAMS, n_pulses=20_000, eta_tl=0.01)
         run = run_qkd(leaky, seed=8, eve=eve)
         assert run.n_sifted > 0
-        assert run.eve_known_sifted().all()
+        assert run.eve_known[run.sifted].all()
         assert run.eve_known.all()
 
 

@@ -8,12 +8,13 @@ import hashlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qident import auth, budget, cli, protocol1, protocol2
 from qident.channel import EveStrategy
 from qident.cli import ParseError, RangeError, main, parse_config
-from qident.core import BitString, SecretPool, make_rng, random_bitstring
+from qident.core import BitString, SecretPool, random_bitstring
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +53,10 @@ class TestConfigParsing:
     def test_out_of_range_names_field(self):
         with pytest.raises(RangeError, match="'mu'"):
             parse_config("mu = 2.0\n")
+
+    def test_key_set_twice_names_both_lines(self):
+        with pytest.raises(ParseError, match="line 3: 'mu' is already set on line 1"):
+            parse_config("mu = 0.5\n# the same key again\nmu = 0.6\n")
 
     @pytest.mark.parametrize("argv", [
         ("budget", "--config"),
@@ -423,7 +428,7 @@ class TestBeamsplitFractionAboveOne:
 
 class TestAuthCommands:
     def make_single_args(self):
-        rng = make_rng(31)
+        rng = np.random.default_rng(31)
         msg = random_bitstring(64, rng)
         key_bits = random_bitstring(61 * 4, rng)
         return msg.to_text(), key_bits.to_text()
@@ -452,7 +457,8 @@ class TestAuthCommands:
     def test_tag_printed_as_16_zero_padded_hex_digits(self, capsys):
         msg, key = self.make_single_args()
         code, out, _ = run_cli(capsys, "auth-tag", "--message", msg, "--key", key)
-        words, _ = auth.key_from_bits(BitString.from_text(key), auth.words_needed(64))
+        words, _ = auth.key_from_pool(SecretPool(BitString.from_text(key)),
+                                      auth.words_needed(64))
         assert code == 0
         assert out == f"{auth.authenticate(BitString.from_text(msg), words):016x}\n"
         zero_key = "244:" + "0" * 62  # every key word 0, so the tag is 0
@@ -517,7 +523,7 @@ class TestAuthCommands:
         assert "bad message" in err
 
     def make_vector_file(self, tmp_path, tamper_line=None):
-        rng = make_rng(77)
+        rng = np.random.default_rng(77)
         lines = []
         for msg01, n_words in (("0", 2), ("10", 3), (None, auth.PRODUCTION_WORDS)):
             msg = random_bitstring(100, rng) if msg01 is None else BitString.from01(msg01)
@@ -544,6 +550,27 @@ class TestAuthCommands:
         assert code == 1
         assert "line 3: BAD" in out  # the comment line shifts numbering
         assert out.count(": ok") == 2
+
+    def over_long_vector_file(self, tmp_path):
+        # a 200-bit message under a 2-word key, whose cap is 60 bits,
+        # between the first and second production lines
+        lines = open(self.make_vector_file(tmp_path), encoding="utf-8").read().splitlines()
+        lines.insert(2, auth.format_vector_line((1, 2), BitString.zeros(200), 0))
+        path = tmp_path / "over_long.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    def test_verify_refuses_an_over_long_line_and_checks_the_rest(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "auth-verify", "--vectors",
+                               self.over_long_vector_file(tmp_path))
+        assert code == 1
+        assert out.splitlines() == ["line 2: ok", "line 3: BAD", "line 4: ok", "line 5: ok"]
+
+    def test_tag_cannot_tag_an_over_long_line(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "auth-tag", "--vectors",
+                               self.over_long_vector_file(tmp_path))
+        assert code == 2
+        assert "200 bits exceed the 60-bit cap" in err
 
     def test_tag_command_fills_vectors(self, capsys, tmp_path):
         path = self.make_vector_file(tmp_path, tamper_line=0)

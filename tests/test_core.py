@@ -11,29 +11,12 @@ from qident.core import (
     LengthMismatch,
     PoolExhausted,
     SecretPool,
-    make_rng,
     pack_uints,
     random_bitstring,
     shuffle_rank,
-    strict_ceil,
     sync_pools,
     unpack_uints,
 )
-
-
-class TestStrictCeil:
-    def test_strictly_above(self):
-        # the bracket picks the smallest integer strictly greater
-        assert strict_ceil(0.5) == 1
-        assert strict_ceil(2.0) == 3
-        assert strict_ceil(-0.5) == 0
-        assert strict_ceil(22.575) == 23
-
-    @given(st.floats(-1e6, 1e6))
-    def test_property(self, x):
-        c = strict_ceil(x)
-        assert c > x
-        assert c - 1 <= x
 
 
 class TestBitString:
@@ -185,6 +168,13 @@ class TestSecretPool:
             pool.advance_to(10)
         assert pool.consume(20) == store[30:]
 
+    def test_advance_to_the_end(self, rng):
+        pool = SecretPool(random_bitstring(50, rng))
+        pool.advance_to(50)
+        assert pool.pointer == 50 and pool.remaining == 0
+        with pytest.raises(PoolExhausted):
+            pool.advance_to(51)
+
     def test_refuel_appends(self, rng):
         pool = SecretPool(random_bitstring(10, rng))
         pool.consume(10)
@@ -224,14 +214,14 @@ def test_sync_pools_takes_maximum(rng):
 
 class TestRandomness:
     def test_same_seed_same_bits(self):
-        a = random_bitstring(128, make_rng(5))
-        b = random_bitstring(128, make_rng(5))
+        a = random_bitstring(128, np.random.default_rng(5))
+        b = random_bitstring(128, np.random.default_rng(5))
         assert a == b
 
     def test_spawned_streams_are_stable(self):
         # child streams must not depend on each other's draw volume
-        r1 = make_rng(9).spawn(3)
-        r2 = make_rng(9).spawn(3)
+        r1 = np.random.default_rng(9).spawn(3)
+        r2 = np.random.default_rng(9).spawn(3)
         r1[0].random(1000)  # extra draws on one child
         assert np.array_equal(r1[2].random(16), r2[2].random(16))
 
@@ -305,7 +295,7 @@ def _pool(n=16):
     (lambda: unpack_uints(np.zeros(64, np.uint8), 64), ValueError),
     (lambda: BitString(np.zeros((2, 2), np.uint8)), ValueError),
     (lambda: BitString.zeros(-1), ValueError),
-    (lambda: random_bitstring(-1, make_rng(0)), ValueError),
+    (lambda: random_bitstring(-1, np.random.default_rng(0)), ValueError),
 ], ids=["consume-negative", "advance-past-end", "pack-width-0", "pack-width-64",
         "pack-2d", "unpack-width-64", "bitstring-2d", "zeros-negative",
         "random-negative"])

@@ -33,7 +33,6 @@ from qident.core import (
     BitString,
     PoolExhausted,
     SecretPool,
-    make_rng,
     pack_uints,
     random_bitstring,
     shuffle_rank,
@@ -64,7 +63,7 @@ SMALL = replace(REFERENCE, n_pulses=100_000)
 
 
 def make_pools(n_bits, seed=7):
-    store = random_bitstring(n_bits, make_rng(seed))
+    store = random_bitstring(n_bits, np.random.default_rng(seed))
     return SecretPool(store), SecretPool(store)
 
 
@@ -178,6 +177,14 @@ def test_arbitrary_payloads_parse_or_raise_wire_format_error(name, data):
     assert n_bits in (None, size)
 
 
+@pytest.mark.parametrize("positions", [[3, 12], [3, 3, 5]], ids=["at-n", "repeated"])
+def test_sample_position_at_n_or_repeated_does_not_parse(positions):
+    # n = 12 pulses: a position of 12 is out of range, and a repeat is
+    # not strictly increasing
+    with pytest.raises(WireFormatError):
+        _parse_positions(pack_uints(positions, 4), 4, 12)
+
+
 class TestSizing:
     def test_default_pool_adds_slack(self):
         assert (
@@ -209,9 +216,9 @@ class TestSubsetSelection:
     def test_same_draws_as_sampling_the_sorted_positions(self):
         # indices into sorted detections pick what a draw from the
         # positions themselves picks, and leave the generator alike
-        detected = np.sort(make_rng(1).choice(100_000, size=9000, replace=False))
+        detected = np.sort(np.random.default_rng(1).choice(100_000, size=9000, replace=False))
         for seed in range(20):
-            a, b = make_rng(seed), make_rng(seed)
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
             pick = select_subset_positions(detected.size, 2000, a)
             drawn = np.sort(b.choice(detected, size=2000, replace=False))
             assert np.array_equal(detected[pick], drawn)
@@ -414,7 +421,7 @@ class TestErrorCorrection:
         # searching each pass's order, and phase 2 builds every round's
         # subset in full and bisects [0, n) on the parity of diff over each
         # lower half, as the parties announce it
-        data = make_rng(n)
+        data = np.random.default_rng(n)
         a = data.integers(0, 2, n, dtype=np.uint8)
         b = a ^ (data.random(n) < rate).astype(np.uint8)
         bound = math.ceil(math.log2(n))
@@ -502,7 +509,7 @@ class TestErrorCorrection:
             monkeypatch.setattr(protocol2, "_cascade", spy(cascade))
             monkeypatch.setattr(protocol2, "_verify", spy(verify))
             monkeypatch.setattr(protocol2, "_bisect", spy_bisect)
-            _, bob, leak = error_correct(a, b, hint, make_rng(99))
+            _, bob, leak = error_correct(a, b, hint, np.random.default_rng(99))
             assert np.array_equal(bob, a)
             for size, spent in charges:
                 assert spent <= math.ceil(math.log2(size)) <= bound
@@ -520,7 +527,7 @@ class TestErrorCorrection:
         # every error is still corrected
         leaks, limits = [], []
         for seed in range(4):
-            data = make_rng(seed)
+            data = np.random.default_rng(seed)
             n = 285_000
             a = data.integers(0, 2, n, dtype=np.uint8)
             b = a ^ (data.random(n) < 0.004).astype(np.uint8)
@@ -536,7 +543,7 @@ class TestErrorCorrection:
         # hint, is corrected with f = leak / (n * H2(errors / n)) <= 1.20
         n = 285_000
         for seed in range(1, 9):
-            data = make_rng(seed)
+            data = np.random.default_rng(seed)
             a = data.integers(0, 2, n, dtype=np.uint8)
             b = a ^ (data.random(n) < 0.004).astype(np.uint8)
             _, bob, leak = error_correct(a, b, 0.004, data)
@@ -565,7 +572,7 @@ class TestErrorCorrection:
         a = rng.integers(0, 2, 1024, dtype=np.uint8)
         b = a.copy()
         b[::100] ^= 1
-        gen, ref = make_rng(4), make_rng(4)
+        gen, ref = np.random.default_rng(4), np.random.default_rng(4)
         error_correct(a, b, 0.01, gen)
         for _ in range(5):
             ref.integers(1 << 63)
@@ -615,8 +622,8 @@ class TestPrivacyAmplification:
     def test_reference_size_output_pinned(self):
         # SHA-256 of the output at the reference session's PA size, checked
         # once against a bit-by-bit product over Python integers
-        bits = random_bitstring(285_114, make_rng(1))
-        seed = random_bitstring(285_113, make_rng(2))
+        bits = random_bitstring(285_114, np.random.default_rng(1))
+        seed = random_bitstring(285_113, np.random.default_rng(2))
         out = privacy_amplify(bits, 125_026, seed)
         assert len(out) == 125_026
         assert hashlib.sha256(out.to_bytes()).hexdigest() == (
@@ -986,7 +993,7 @@ class TestAdversaries:
     def test_pa_seed_tamper_ends_in_key_mismatch(self):
         # each party hashes with its own copy of the seed, so a rewritten
         # seed leaves the keys different and nothing is refuelled
-        gen = make_rng(99)
+        gen = np.random.default_rng(99)
 
         def tamper(msg):
             if msg.kind is MsgKind.PA_SEED:
@@ -1112,6 +1119,40 @@ class TestFailClosed:
         res = run_protocol2(replace(REFERENCE, n_pulses=25_000), seed=0)
         assert res.out_len > res.n_key - res.leak > 0
         self.assert_stops_unrefuelled(res, "budget-exceeds-available")
+
+    def test_announce_ending_before_the_last_sample_position_stops(self):
+        # Alice's search for her last sample position runs off the end of
+        # the shortened announcement; the session stops, it does not raise
+        def cut(bits, sample, announced):
+            pos, bases = announced
+            keep = pos < sample[-1]
+            return _build_announce(pos[keep], bases[keep]).bits
+
+        res = run_protocol2(SMALL, seed=10, adversary=AdversaryScript(
+            tamper=sample_then(MsgKind.BASIS_ANNOUNCE, cut)))
+        self.assert_stops_unrefuelled(res, "coincidence-structure")
+
+    def test_zero_length_budget_is_refused(self, monkeypatch):
+        monkeypatch.setattr(protocol2, "compute_out_len", lambda params, eps, leak: 0)
+        res = run_protocol2(SMALL, seed=10)
+        assert res.out_len == 0
+        self.assert_stops_unrefuelled(res, "budget-nonpositive")
+
+    def test_budget_of_exactly_the_available_key_refuels(self, monkeypatch):
+        n_key = run_protocol2(SMALL, seed=10).n_key
+        monkeypatch.setattr(protocol2, "compute_out_len",
+                            lambda params, eps, leak: n_key - leak)
+        res = run_protocol2(SMALL, seed=10)
+        assert res.refueled and res.out_len == res.n_key - res.leak > 0
+        assert len(res.distilled) == res.out_len
+        assert_pools_mirrored(res)
+
+    def test_sample_with_no_basis_match_is_rejected(self):
+        # s = 1: both sample positions fall on unmatched bases at seed 0,
+        # so there is no rate to estimate
+        res = run_protocol2(replace(SMALL, s=1), seed=0)
+        assert res.s_real == 0 and res.eps_est is None
+        self.assert_stops_unrefuelled(res, "verdict-reject")
 
     def test_sample_without_an_eps_limit_is_rejected(self):
         # s = 5: no Bayesian limit exists for so few basis-matched bits
