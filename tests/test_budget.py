@@ -110,6 +110,8 @@ class TestTolerance:
         assert tolerance(100, 0.01) == 2  # exactly 1.0 expected
         assert tolerance(100, 0.0) == 1
         assert tolerance(1, 0.99) == 1
+
+    def test_whole_and_fractional_noise_round_strictly_up(self):
         assert tolerance(200, 0.01) == 3  # exactly 2.0: strictly above it
         assert tolerance(4515, 0.005) == 23  # 22.575 expected
 
